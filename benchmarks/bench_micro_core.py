@@ -2,7 +2,8 @@
 
 These give per-operation baselines that make regressions in the low-level
 machinery visible independently of the end-to-end experiments: (α,β)-core
-peeling, offset computation, butterfly counting and the union-find tracker.
+peeling, offset computation, butterfly counting, the union-find tracker and
+the significant-search peel kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import pytest
 from repro.decomposition.abcore import abcore_vertices
 from repro.decomposition.offsets import alpha_offsets, beta_offsets
 from repro.graph.bipartite import Side, Vertex
+from repro.graph.generators import power_law_bipartite
+from repro.graph.weights import apply_weights
+from repro.index.degeneracy_index import DegeneracyIndex
 from repro.models.butterfly import butterflies_per_edge
 from repro.utils.unionfind import ComponentTracker
 
@@ -56,3 +60,44 @@ def test_component_tracker_throughput(benchmark, bench_graphs):
         return tracker
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("weights", ["UF", "ratings"])
+def test_csr_significant_peel(benchmark, weights):
+    """Step-2 peel over one community of >= 1k edges.
+
+    UF (continuous) weights make nearly every edge its own round; ratings
+    (integers 1..5) give five rounds, each removing many tied edges.
+    """
+    np = pytest.importorskip("numpy")
+    from repro.decomposition.csr_kernels import csr_significant_edges
+
+    graph = apply_weights(
+        power_law_bipartite(375, 300, 2500, exponent_upper=1.0, exponent_lower=1.0, seed=0),
+        "UF",
+        seed=0,
+    )
+    if weights == "ratings":
+        for u, v, w in list(graph.edges()):
+            graph.add_edge(u, v, float(1 + int(w * 1000) % 5))
+    index = DegeneracyIndex(graph, backend="csr")
+    alpha = beta = 5
+    query = min(
+        (v for v in index.vertices_in_core(alpha, beta) if v.side is Side.UPPER),
+        key=lambda v: repr(v.label),
+    )
+    community = index.community(query, alpha, beta)
+    assert community.num_edges >= 1000
+    upper_ids = {label: i for i, label in enumerate(community.upper_labels())}
+    lower_ids = {label: i for i, label in enumerate(community.lower_labels())}
+    edges = list(community.edges())
+    src = np.array([upper_ids[u] for u, _, _ in edges], dtype=np.int64)
+    dst = np.array([lower_ids[v] for _, v, _ in edges], dtype=np.int64)
+    weight = np.array([w for _, _, w in edges], dtype=np.float64)
+
+    kept = benchmark(
+        lambda: csr_significant_edges(
+            src, dst, weight, True, upper_ids[query.label], alpha, beta, method="peel"
+        )
+    )
+    assert 0 < kept.shape[0] < len(edges)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side
 from repro.graph.csr import CSRBipartiteGraph
-from repro.search.edge_scs import SCS_EDGE_METHODS
+from repro.search.edge_scs import SCS_EDGE_METHODS, peel_rounds
 from repro.utils.validation import check_thresholds
 
 __all__ = [
@@ -360,7 +360,9 @@ def csr_region_offsets_fixed_primary(
 # community — three parallel edge arrays — rather than a frozen whole-graph
 # CSR.  The pure-python twins live in :mod:`repro.search.edge_scs`; both are
 # asserted element-wise identical to the dict-backed ``scs_*`` oracle by the
-# agreement suite.
+# agreement suite.  The peel removes each edge once, in the list loop shared
+# with the twin (:func:`repro.search.edge_scs.peel_rounds`): O(E + V) per
+# query plus one O(E log E) sort, however many distinct weights there are.
 
 
 def _edge_core(
@@ -431,53 +433,44 @@ def _peel_mask(
 
     Returns the kept edge positions (ascending).  Rounds remove every alive
     edge carrying the current minimum weight, cascade, and on query death
-    restore the round and return the query's component.
+    restore the round and return the query's component.  numpy sorts the
+    subset by weight and builds its incidence index with one argsort; the
+    list loop :func:`repro.search.edge_scs.peel_rounds` then removes each
+    edge once.  O(E log E) for the sorts, O(E + V) for the peel, plus the
+    final component fixpoint.
 
     Contract: remove minimum-weight edges round by round, cascade the core, and return the query's component of the last surviving round.
     """
     live = np.flatnonzero(alive)
-    if np.unique(weight[live]).shape[0] <= 1:
+    size = int(live.shape[0])
+    sub_weight = weight[live]
+    # The sort need not be stable: a round removes all its ties at once.
+    order = np.argsort(sub_weight)
+    ordered_weight = sub_weight[order]
+    round_ends = np.append(
+        np.flatnonzero(ordered_weight[1:] != ordered_weight[:-1]) + 1, size
+    )
+    if round_ends.shape[0] <= 1:
         # Single distinct weight: the (sub)community itself is the answer.
         return live
-    alive = alive.copy()
-    order = live[np.argsort(weight[live], kind="stable")]
-    sorted_w = weight[order]
-    du = np.bincount(us[alive], minlength=num_u)
-    dl = np.bincount(ls[alive], minlength=num_l)
-    query_threshold = alpha if query_upper else beta
-    pos, total = 0, int(order.shape[0])
-    while pos < total:
-        # Skip edges already removed by an earlier cascade (the cursor only
-        # moves forward, so this stays amortised O(E) over the whole peel).
-        while pos < total and not alive[order[pos]]:
-            pos += 1
-        if pos >= total:
-            break
-        current_weight = sorted_w[pos]
-        run_end = int(np.searchsorted(sorted_w, current_weight, side="right"))
-        round_edges = order[pos:run_end]
-        round_edges = round_edges[alive[round_edges]]
-        pos = run_end
-        previous = alive.copy()
-        alive[round_edges] = False
-        du -= np.bincount(us[round_edges], minlength=num_u)
-        dl -= np.bincount(ls[round_edges], minlength=num_l)
-        while True:
-            bad_u = (du > 0) & (du < alpha)
-            bad_l = (dl > 0) & (dl < beta)
-            doomed = alive & (bad_u[us] | bad_l[ls])
-            if not doomed.any():
-                break
-            alive &= ~doomed
-            du -= np.bincount(us[doomed], minlength=num_u)
-            dl -= np.bincount(ls[doomed], minlength=num_l)
-        query_degree = int(du[query]) if query_upper else int(dl[query])
-        if query_degree < query_threshold:
-            # The graph as it stood at the start of this round is the last
-            # valid one: return the query's component inside it.
-            return _edge_component(us, ls, previous, query_upper, query, num_u, num_l)
-    # Unreachable for a well-formed input; same safe fall-back as the oracle.
-    return live
+    num_vertices = num_u + num_l
+    heads = us[live]
+    tails = ls[live] + num_u
+    ends = np.concatenate((heads, tails))
+    degree = np.bincount(ends, minlength=num_vertices)
+    start = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(degree, out=start[1:])
+    flags = peel_rounds(
+        heads.tolist(), tails.tolist(), order.tolist(), round_ends.tolist(),
+        start.tolist(), (np.argsort(ends) % size).tolist(), degree.tolist(),
+        num_u, query if query_upper else num_u + query, alpha, beta,
+    )
+    if flags is None:
+        # Unreachable for a well-formed input; same safe fall-back as the oracle.
+        return live
+    previous = np.zeros(alive.shape[0], dtype=bool)
+    previous[live[np.frombuffer(flags, dtype=np.bool_)]] = True
+    return _edge_component(us, ls, previous, query_upper, query, num_u, num_l)
 
 
 def _binary_over_edges(

@@ -8,6 +8,9 @@ vectorised kernels live in :mod:`repro.decomposition.csr_kernels`; this module
 holds their pure-python twins, written against plain lists and sets so the
 no-numpy matrix can exercise the exact same algorithms (and so the kernels
 have a numpy-free oracle in addition to the dict-backed ``scs_*`` functions).
+The peel's round loop, :func:`peel_rounds`, is shared rather than twinned:
+the CSR kernel calls it as well, because when nearly every edge is its own
+round, list code that touches each edge once beats numpy calls per round.
 
 All three methods compute the same unique answer (Lemma 1 of the paper):
 
@@ -27,12 +30,12 @@ module ever touching labels or graph objects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.utils.validation import check_thresholds
 
-__all__ = ["significant_edge_indices", "SCS_EDGE_METHODS"]
+__all__ = ["significant_edge_indices", "peel_rounds", "SCS_EDGE_METHODS"]
 
 SCS_EDGE_METHODS = ("peel", "expand", "binary")
 
@@ -119,6 +122,112 @@ def _component_indices(
 # --------------------------------------------------------------------------- #
 # peel (Algorithm 4)
 # --------------------------------------------------------------------------- #
+def _incidence_index(
+    heads: Sequence[int], tails: Sequence[int], num_vertices: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """Vertex → incident edge positions, as ``(start, incident, degree)``.
+
+    ``heads`` / ``tails`` name each edge's two endpoints in one shared vertex
+    space of ``num_vertices`` ids; the positions incident to vertex ``x`` are
+    ``incident[start[x]:start[x + 1]]`` and ``degree[x]`` is their count (a
+    counting sort; the CSR kernel builds the same index with one argsort).
+    """
+    degree = [0] * num_vertices
+    for x in heads:
+        degree[x] += 1
+    for x in tails:
+        degree[x] += 1
+    start = [0] * (num_vertices + 1)
+    for x in range(num_vertices):
+        start[x + 1] = start[x] + degree[x]
+    fill = start[:-1]
+    incident = [0] * start[-1]
+    for ends in (heads, tails):
+        for e, x in enumerate(ends):
+            incident[fill[x]] = e
+            fill[x] += 1
+    return start, incident, degree
+
+
+def peel_rounds(
+    heads: Sequence[int],
+    tails: Sequence[int],
+    order: Sequence[int],
+    round_ends: Sequence[int],
+    start: Sequence[int],
+    incident: Sequence[int],
+    degree: MutableSequence[int],
+    num_upper: int,
+    query_vertex: int,
+    alpha: int,
+    beta: int,
+) -> Optional[bytearray]:
+    """The incremental SCS peel shared by the array kernel and its twin.
+
+    Edges ``0..m-1`` run from upper vertex ``heads[e]`` to lower vertex
+    ``tails[e]`` in one vertex space (upper ids below ``num_upper``); all of
+    them start alive.  ``order`` lists the edges by ascending weight and
+    round ``r`` is ``order[round_ends[r - 1]:round_ends[r]]``, one run of
+    equal weights.  ``start`` / ``incident`` / ``degree`` are the
+    :func:`_incidence_index` of the edges (``degree`` is consumed).  Each
+    round removes its alive edges and cascades vertices below their
+    threshold through a stack; an undo log of the round's removals restores
+    the round in which the query dies.  Every edge is removed once and every
+    incidence slice is scanned at most once, so a call costs O(m + n).
+
+    Returns the alive flags of the last round the query survived, or
+    ``None`` if it never dies (impossible for a well-formed input).
+    """
+    alive = bytearray(b"\x01") * len(order)
+    limit = [alpha - 1] * num_upper + [beta - 1] * (len(degree) - num_upper)
+    # Vertices already below threshold fall in the first round's cascade.
+    stack = [x for x, d in enumerate(degree) if 0 < d <= limit[x]]
+    push = stack.append
+    # Undo log: every removal in order; the current round starts at ``mark``.
+    log: List[int] = []
+    record = log.append
+    query_limit = limit[query_vertex]
+    pos = 0
+    for end in round_ends:
+        mark = len(log)
+        for e in order[pos:end]:
+            if alive[e]:
+                alive[e] = 0
+                record(e)
+                x = heads[e]
+                d = degree[x] - 1
+                degree[x] = d
+                if d == limit[x]:
+                    push(x)
+                x = tails[e]
+                d = degree[x] - 1
+                degree[x] = d
+                if d == limit[x]:
+                    push(x)
+        pos = end
+        # Cascade: a vertex below its threshold loses all remaining edges.
+        # A vertex enters the stack once, when it first drops below.
+        while stack:
+            x = stack.pop()
+            ends = tails if x < num_upper else heads
+            for f in incident[start[x] : start[x + 1]]:
+                if alive[f]:
+                    alive[f] = 0
+                    record(f)
+                    y = ends[f]
+                    d = degree[y] - 1
+                    degree[y] = d
+                    if d == limit[y]:
+                        push(y)
+        if degree[query_vertex] <= query_limit:
+            # The graph as it stood at the start of this round is the last
+            # valid one: undo the round's removals.
+            for e in log[mark:]:
+                alive[e] = 1
+            return alive
+    return None
+
+
 def _peel_indices(
     us: Sequence[int],
     ls: Sequence[int],
@@ -133,49 +242,38 @@ def _peel_indices(
 ) -> List[int]:
     """Peel the ``alive`` subset; mirrors ``scs_peel`` round for round.
 
+    Compacts the subset to local positions and runs :func:`peel_rounds` over
+    a counting-sorted incidence index, so each edge is removed once.
+
     Contract: remove minimum-weight edges round by round, cascade the core, and return the query's component of the last surviving round.
     """
     live = [e for e, keep in enumerate(alive) if keep]
-    if len({weight[e] for e in live}) <= 1:
+    order = sorted(range(len(live)), key=lambda i: weight[live[i]])
+    ordered_weight = [weight[live[i]] for i in order]
+    round_ends = [
+        i for i in range(1, len(order)) if ordered_weight[i] != ordered_weight[i - 1]
+    ]
+    round_ends.append(len(order))
+    if len(round_ends) <= 1:
         # Single distinct weight: the (sub)community itself is the answer.
         return live
-    order = sorted(live, key=lambda e: weight[e])
-    query_threshold = alpha if query_in_upper else beta
-    du, dl = _degrees(us, ls, num_upper, num_lower, alive)
-    pos, total = 0, len(order)
-    while pos < total:
-        while pos < total and not alive[order[pos]]:
-            pos += 1
-        if pos >= total:
-            break
-        current_weight = weight[order[pos]]
-        previous = list(alive)
-        while pos < total and weight[order[pos]] == current_weight:
-            e = order[pos]
-            pos += 1
-            if alive[e]:
-                alive[e] = False
-                du[us[e]] -= 1
-                dl[ls[e]] -= 1
-        # Cascade: a vertex below its threshold loses all remaining edges.
-        while True:
-            bad_u = {u for u, d in enumerate(du) if 0 < d < alpha}
-            bad_l = {v for v, d in enumerate(dl) if 0 < d < beta}
-            if not bad_u and not bad_l:
-                break
-            for e, keep in enumerate(alive):
-                if keep and (us[e] in bad_u or ls[e] in bad_l):
-                    alive[e] = False
-                    du[us[e]] -= 1
-                    dl[ls[e]] -= 1
-        query_degree = du[query] if query_in_upper else dl[query]
-        if query_degree < query_threshold:
-            # The graph as it stood at the start of this round is the last
-            # valid one: restore the round and return the query's component.
-            return _component_indices(us, ls, previous, query_in_upper, query)
-    # Unreachable for a well-formed input (the query must eventually fail),
-    # kept as the same safe fall-back the dict algorithm uses.
-    return live
+    heads = [us[e] for e in live]
+    tails = [num_upper + ls[e] for e in live]
+    start, incident, degree = _incidence_index(heads, tails, num_upper + num_lower)
+    flags = peel_rounds(
+        heads, tails, order, round_ends,
+        start, incident, degree, num_upper,
+        query if query_in_upper else num_upper + query, alpha, beta,
+    )
+    if flags is None:
+        # Unreachable for a well-formed input (the query must eventually
+        # fail), kept as the same safe fall-back the dict algorithm uses.
+        return live
+    previous = [False] * len(alive)
+    for i, keep in enumerate(flags):
+        if keep:
+            previous[live[i]] = True
+    return _component_indices(us, ls, previous, query_in_upper, query)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,12 +17,19 @@ import pytest
 
 from repro.api import CommunitySearcher
 from repro.exceptions import InvalidParameterError
-from repro.graph.bipartite import Side, Vertex
+from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.csr import HAS_NUMPY
+from repro.graph.generators import power_law_bipartite
+from repro.graph.weights import apply_weights
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.search.baseline import scs_baseline
 from repro.search.binary import scs_binary
-from repro.search.edge_scs import significant_edge_indices
+from repro.search.edge_scs import (
+    _component_indices,
+    _core_fixpoint,
+    _peel_indices,
+    significant_edge_indices,
+)
 from repro.search.expand import scs_expand
 from repro.search.peel import scs_peel
 
@@ -301,3 +308,250 @@ class TestNoMaterialisation:
             assert got.method == want.method
             assert got.search_space_edges == want.search_space_edges
             assert_same_graph(got.graph, want.graph)
+
+
+# --------------------------------------------------------------------------- #
+# peel-heavy inputs: many rounds, deep cascades, masked subsets
+# --------------------------------------------------------------------------- #
+#
+# The suite above runs on 160-edge graphs with integer weights 1..12, so its
+# peels take a handful of rounds.  Below, every community has at least 1k
+# edges with all-distinct uniform (UF) weights — nearly every edge is its own
+# round — and the peel inputs also include the masked ``alive`` subsets that
+# expand's validation hands to the peel, plus a hand-built graph whose fatal
+# round cascades around a long cycle far from the query.  The CSR kernel
+# ``_peel_mask``, its pure-python twin ``_peel_indices`` and the dict oracle
+# ``scs_peel`` must agree element-wise throughout.
+
+HEAVY_EDGES = 2500
+#: (α,β) pairs whose communities keep >= 1k edges on these graphs; with
+#: δ = 10, "auto" resolves to expand on the first three and to peel on the
+#: last two, so both resolutions are covered.
+HEAVY_GRID = [(2, 3), (3, 3), (4, 2), (5, 5), (6, 5)]
+MIN_COMMUNITY_EDGES = 1000
+
+
+def uf_graph(seed: int) -> BipartiteGraph:
+    """A power-law graph with all-distinct float weights (the UF model)."""
+    graph = power_law_bipartite(
+        num_upper=HEAVY_EDGES * 3 // 20,
+        num_lower=HEAVY_EDGES * 3 // 25,
+        num_edges=HEAVY_EDGES,
+        exponent_upper=1.0,
+        exponent_lower=1.0,
+        seed=seed,
+    )
+    graph = apply_weights(graph, "UF", seed=seed)
+    weights = list(graph.edge_weights())
+    assert len(set(weights)) == len(weights)
+    return graph
+
+
+def first_core_vertices(searcher, alpha, beta):
+    core = sorted(
+        searcher.index.vertices_in_core(alpha, beta),
+        key=lambda v: (v.side.name, repr(v.label)),
+    )
+    uppers = [v for v in core if v.side is Side.UPPER][:1]
+    lowers = [v for v in core if v.side is Side.LOWER][:1]
+    return uppers + lowers
+
+
+def interned(community, query):
+    src, dst, weight, upper_ids, lower_ids = community_edge_lists(community)
+    query_upper = query.side is Side.UPPER
+    query_id = (upper_ids if query_upper else lower_ids)[query.label]
+    return src, dst, weight, upper_ids, lower_ids, query_upper, query_id
+
+
+def kernel_peel(src, dst, weight, alive, query_upper, query_id, alpha, beta):
+    """``_peel_mask`` over the wire lists, as ``csr_significant_edges`` calls it."""
+    import numpy as np
+
+    from repro.decomposition.csr_kernels import _peel_mask
+
+    upper_ids, us = np.unique(np.asarray(src, dtype=np.int64), return_inverse=True)
+    lower_ids, ls = np.unique(np.asarray(dst, dtype=np.int64), return_inverse=True)
+    pool = upper_ids if query_upper else lower_ids
+    query = int(np.searchsorted(pool, query_id))
+    kept = _peel_mask(
+        us, ls, np.asarray(weight, dtype=np.float64),
+        int(upper_ids.shape[0]), int(lower_ids.shape[0]),
+        np.asarray(alive, dtype=bool), query_upper, query, alpha, beta,
+    )
+    return kept.tolist()
+
+
+def twin_peel(src, dst, weight, alive, query_upper, query_id, alpha, beta):
+    """``_peel_indices`` over the wire lists (ids are already dense here)."""
+    num_upper, num_lower = max(src) + 1, max(dst) + 1
+    return _peel_indices(
+        src, dst, weight, num_upper, num_lower, list(alive),
+        query_upper, query_id, alpha, beta,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_large_uf_communities_agree(seed):
+    """Thousands of single-edge rounds: kernel == twin == dict oracle."""
+    graph = uf_graph(seed)
+    searcher = CommunitySearcher(graph, backend="dict")
+    for alpha, beta in HEAVY_GRID:
+        for query in first_core_vertices(searcher, alpha, beta):
+            community = searcher.community(query, alpha, beta)
+            assert community.num_edges >= MIN_COMMUNITY_EDGES
+            oracle = graph_edge_triples(scs_peel(community, query, alpha, beta))
+            src, dst, weight, upper_ids, lower_ids, query_upper, query_id = (
+                interned(community, query)
+            )
+            everything = [True] * len(src)
+            twin = twin_peel(src, dst, weight, everything, query_upper, query_id, alpha, beta)
+            got = edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids)
+            assert got == oracle, (seed, alpha, beta, query)
+            for method in ("peel", "expand"):
+                assert significant_edge_indices(
+                    src, dst, weight, query_upper, query_id, alpha, beta, method=method
+                ) == twin, (seed, alpha, beta, query, method)
+            if HAS_NUMPY:
+                from repro.decomposition.csr_kernels import csr_significant_edges
+
+                assert kernel_peel(
+                    src, dst, weight, everything, query_upper, query_id, alpha, beta
+                ) == twin, (seed, alpha, beta, query)
+                for method in ("peel", "expand"):
+                    assert csr_significant_edges(
+                        src, dst, weight, query_upper, query_id, alpha, beta,
+                        method=method,
+                    ).tolist() == twin, (seed, alpha, beta, query, method)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", ["peel", "expand", "auto"])
+def test_large_uf_batch_matches_oracle(backend, method):
+    """The batch pipeline, including the "auto" rule, on 1k+ edge communities."""
+    graph = uf_graph(3)
+    oracle = CommunitySearcher(graph, backend="dict")
+    searcher = CommunitySearcher(graph, backend=backend)
+    queries = [
+        (query, alpha, beta)
+        for alpha, beta in HEAVY_GRID
+        for query in first_core_vertices(oracle, alpha, beta)
+    ]
+    answers = searcher.batch_significant_communities(queries, method=method)
+    resolved = set()
+    for (query, alpha, beta), answer in zip(queries, answers):
+        community = oracle.community(query, alpha, beta)
+        assert answer.search_space_edges == community.num_edges >= MIN_COMMUNITY_EDGES
+        assert_same_graph(answer.graph, scs_peel(community, query, alpha, beta))
+        resolved.add(answer.method)
+    if method == "auto":
+        assert resolved == {"peel", "expand"}
+
+
+def validation_subsets(src, dst, weight, query_upper, query_id, alpha, beta):
+    """The masks expand's ``validate`` passes to the peel.
+
+    For growing heaviest-first prefixes: the prefix's (α,β)-core, restricted
+    to the query's component — kept only where the query survives.
+    """
+    num_upper, num_lower = max(src) + 1, max(dst) + 1
+    heaviest_first = sorted(range(len(weight)), key=lambda e: -weight[e])
+    subsets = []
+    for share in (0.2, 0.3, 0.4, 0.5, 0.6, 0.75):
+        prefix = [False] * len(weight)
+        for e in heaviest_first[: int(len(weight) * share)]:
+            prefix[e] = True
+        core, du, dl = _core_fixpoint(src, dst, num_upper, num_lower, prefix, alpha, beta)
+        if (du[query_id] if query_upper else dl[query_id]) == 0:
+            continue
+        mask = [False] * len(weight)
+        for e in _component_indices(src, dst, core, query_upper, query_id):
+            mask[e] = True
+        subsets.append(mask)
+    return subsets
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_validation_subsets_agree(seed):
+    """Masked peels over expand-style subsets agree with the dict oracle."""
+    graph = uf_graph(seed)
+    searcher = CommunitySearcher(graph, backend="dict")
+    checked = 0
+    for alpha, beta in HEAVY_GRID:
+        for query in first_core_vertices(searcher, alpha, beta):
+            community = searcher.community(query, alpha, beta)
+            src, dst, weight, upper_ids, lower_ids, query_upper, query_id = (
+                interned(community, query)
+            )
+            inv_u = {i: label for label, i in upper_ids.items()}
+            inv_l = {i: label for label, i in lower_ids.items()}
+            for mask in validation_subsets(
+                src, dst, weight, query_upper, query_id, alpha, beta
+            ):
+                subgraph = BipartiteGraph()
+                for e, keep in enumerate(mask):
+                    if keep:
+                        subgraph.add_edge(inv_u[src[e]], inv_l[dst[e]], weight[e])
+                oracle = graph_edge_triples(scs_peel(subgraph, query, alpha, beta))
+                twin = twin_peel(src, dst, weight, mask, query_upper, query_id, alpha, beta)
+                got = edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids)
+                assert got == oracle, (seed, alpha, beta, query)
+                assert all(mask[e] for e in twin)
+                if HAS_NUMPY:
+                    assert kernel_peel(
+                        src, dst, weight, mask, query_upper, query_id, alpha, beta
+                    ) == twin, (seed, alpha, beta, query)
+                checked += 1
+    assert checked >= 10
+
+
+def cycle_with_tail(cycle_length: int, tied: bool) -> BipartiteGraph:
+    """A long cycle (a (2,2)-core) through ``a0`` plus a lighter cycle on it.
+
+    The cycle ``a0 x0 a1 x1 ... a{k-1} x{k-1} a0`` holds the query ``a0``;
+    its lightest edge sits on the far side from ``a0``.  A second, lighter
+    6-cycle shares the far vertex ``a{k//2}``.  Round 1 removes the light
+    cycle's lightest edge and its cascade eats the whole light cycle, leaving
+    the query alone.  Round 2 removes the far edge of the main cycle; its
+    cascade walks all the way round to the query, which dies, so every edge
+    of the main cycle is in that round's undo log.  With ``tied`` the round
+    2 weight also sits on a second far edge.
+    """
+    k = cycle_length // 2
+    graph = BipartiteGraph(name="cycle-with-tail")
+    far = k // 2
+    for i in range(k):
+        # a_i - x_i, then x_i - a_{i+1}; weight grows with distance to a0.
+        distance = min(i, k - i)
+        graph.add_edge(f"a{i}", f"x{i}", 100.0 + 2 * distance)
+        next_distance = min(i + 1, k - i - 1)
+        graph.add_edge(f"a{(i + 1) % k}", f"x{i}", 101.0 + 2 * next_distance)
+    graph.add_edge(f"a{far}", f"x{far}", 50.0)
+    if tied:
+        graph.add_edge(f"a{far - 2}", f"x{far - 2}", 50.0)
+    for i, (u, v) in enumerate(
+        [(f"a{far}", "y0"), ("b0", "y0"), ("b0", "y1"), ("b1", "y1"), ("b1", "y2"),
+         (f"a{far}", "y2")]
+    ):
+        graph.add_edge(u, v, 1.0 + i)
+    return graph
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_fatal_round_cascades_far_from_the_query(tied):
+    """The fatal round's cascade spans the whole cycle; all of it comes back."""
+    graph = cycle_with_tail(cycle_length=40, tied=tied)
+    query = Vertex(Side.UPPER, "a0")
+    oracle = scs_peel(graph, query, 2, 2)
+    main_cycle = {(u, v, w) for u, v, w in graph.edges() if v.startswith("x")}
+    assert graph_edge_triples(oracle) == main_cycle
+    assert len(main_cycle) == 40
+
+    src, dst, weight, upper_ids, lower_ids, query_upper, query_id = interned(graph, query)
+    everything = [True] * len(src)
+    twin = twin_peel(src, dst, weight, everything, query_upper, query_id, 2, 2)
+    assert edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids) == main_cycle
+    if HAS_NUMPY:
+        assert kernel_peel(
+            src, dst, weight, everything, query_upper, query_id, 2, 2
+        ) == twin

@@ -71,12 +71,31 @@ def _append_delta(snapshot_dir):
     assert snapshot_version(snapshot_dir) == before + 1
 
 
-def _wait_for_exit(pid: float, timeout: float = 10.0) -> None:
+def _has_exited(pid: int) -> bool:
+    """True once ``pid`` is gone, or is a zombie its parent can reap.
+
+    A SIGKILLed worker stays in ``/proc`` as a zombie (state ``Z``) until the
+    supervisor reaps it.  Its parent can reap it only once every thread has
+    exited, so a zombie leader with threads still listed does not count yet.
+    """
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+        threads = len(os.listdir(f"/proc/{pid}/task"))
+    except FileNotFoundError:
+        return True
+    # The command name is parenthesised and may contain spaces.
+    state = stat.rsplit(")", 1)[1].split()[0]
+    return state in ("Z", "X") and threads <= 1
+
+
+def _wait_for_exit(pid: int, timeout: float = 10.0) -> None:
+    """Return once ``pid`` has exited; fail the test if it has not by ``timeout``."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if not os.path.exists(f"/proc/{int(pid)}"):
-            return
-        time.sleep(0.05)
+    while not _has_exited(pid):
+        if time.monotonic() >= deadline:
+            pytest.fail(f"process {pid} still running {timeout:g}s after SIGKILL")
+        time.sleep(0.01)
 
 
 class TestSupervisedServer:

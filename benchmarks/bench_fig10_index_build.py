@@ -37,7 +37,6 @@ def test_build_degeneracy_index_jobs_sweep(benchmark, bench_graphs, dataset, n_j
     gate lives in ``bench_parallel_build.py``.  This sweep tracks the trend
     and asserts the worker count never changes the built structure.
     """
-    pytest.importorskip("numpy")
     graph = bench_graphs[dataset]
     index = benchmark.pedantic(
         lambda: DegeneracyIndex(graph, backend="csr", n_jobs=n_jobs),

@@ -69,7 +69,8 @@ def test_csr_significant_peel(benchmark, weights):
     UF (continuous) weights make nearly every edge its own round; ratings
     (integers 1..5) give five rounds, each removing many tied edges.
     """
-    np = pytest.importorskip("numpy")
+    import numpy as np
+
     from repro.decomposition.csr_kernels import csr_significant_edges
 
     graph = apply_weights(

@@ -26,7 +26,22 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import Module, Project
-from repro.analysis.imports import normalise_target
+
+
+def normalise_target(project: Project, target: str) -> Optional[str]:
+    """Map an import target onto a project module name, if it names one.
+
+    ``from repro.graph.csr import freeze`` targets ``repro.graph.csr``;
+    ``from repro.graph import csr`` targets ``repro.graph`` but *may* bind
+    the submodule — both spellings resolve to the deepest project module
+    matching a prefix of ``target``.
+    """
+    parts = target.split(".")
+    for end in range(len(parts), 0, -1):
+        name = ".".join(parts[:end])
+        if name in project:
+            return name
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Core of the invariant lint engine: modules, findings, checker registry.
 
-Everything here is deliberately pure ``ast`` + stdlib so the engine itself
-stays importable (and runnable) on the no-numpy fallback matrix.  A
-:class:`Project` is a parsed view of one or more python package trees with
-dotted-name resolution; checkers consume it and emit :class:`Finding`
-records tagged with stable rule ids.
+Everything here is deliberately pure ``ast`` + stdlib: the engine parses
+the tree it checks and never imports it.  A :class:`Project` is a parsed
+view of one or more python package trees with dotted-name resolution;
+checkers consume it and emit :class:`Finding` records tagged with stable
+rule ids.
 """
 
 from __future__ import annotations
@@ -183,11 +183,6 @@ class AnalysisConfig:
     silently depend on global state.
     """
 
-    # numpy-guard
-    kernel_modules: Tuple[str, ...] = ()
-    fallback_roots: Tuple[str, ...] = ()
-    numpy_guard_flags: Tuple[str, ...] = ("HAS_NUMPY", "TYPE_CHECKING")
-
     # twin parity
     twin_registry: Tuple[TwinPair, ...] = ()
 
@@ -269,8 +264,8 @@ def run_analysis(
 ) -> List[Finding]:
     """Run the selected checkers and return sorted findings.
 
-    ``select`` names checkers (``numpy-guard``) or rule prefixes/ids
-    (``NPG``, ``TWIN002``); ``None`` runs everything.  ``config`` defaults to
+    ``select`` names checkers (``twin-parity``) or rule prefixes/ids
+    (``SNAP``, ``TWIN002``); ``None`` runs everything.  ``config`` defaults to
     the repository contracts.
     """
     if config is None:

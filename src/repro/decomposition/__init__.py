@@ -7,8 +7,7 @@
 * :mod:`~repro.decomposition.degeneracy` — the degeneracy δ (Definition 7).
 * :mod:`~repro.decomposition.csr_kernels` — vectorised CSR twins of the
   peeling / offset / degeneracy kernels, selected via the ``backend=``
-  parameter of the functions above (not imported here: it requires numpy,
-  which stays optional).
+  parameter of the functions above (imported lazily by those dispatchers).
 """
 
 from repro.decomposition.abcore import abcore_subgraph, abcore_vertices

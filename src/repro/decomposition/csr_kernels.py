@@ -15,22 +15,17 @@ frozen graph; translating back to :class:`~repro.graph.bipartite.Vertex`
 handles is the caller's job (see the ``backend=`` dispatchers).  Every kernel
 is semantically identical to its dict twin — the cross-backend agreement suite
 (``tests/test_csr_agreement.py``) asserts exact equality on randomized inputs.
-
-This module imports numpy unconditionally; callers must route through
-:func:`repro.graph.csr.resolve_backend`, which never selects the CSR backend
-when numpy is missing.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, MutableSequence, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side
 from repro.graph.csr import CSRBipartiteGraph
-from repro.search.edge_scs import SCS_EDGE_METHODS, peel_rounds
 from repro.utils.validation import check_thresholds
 
 __all__ = [
@@ -358,11 +353,14 @@ def csr_region_offsets_fixed_primary(
 #
 # Unlike the kernels above, these operate on the *wire form* of one retrieved
 # community — three parallel edge arrays — rather than a frozen whole-graph
-# CSR.  The pure-python twins live in :mod:`repro.search.edge_scs`; both are
-# asserted element-wise identical to the dict-backed ``scs_*`` oracle by the
-# agreement suite.  The peel removes each edge once, in the list loop shared
-# with the twin (:func:`repro.search.edge_scs.peel_rounds`): O(E + V) per
-# query plus one O(E log E) sort, however many distinct weights there are.
+# CSR.  The agreement suite asserts them element-wise identical to the
+# dict-backed ``scs_*`` oracles.  The peel removes each edge once, in the list
+# loop :func:`peel_rounds`: O(E + V) per query plus one O(E log E) sort,
+# however many distinct weights there are.  When nearly every edge is its own
+# round, list code that touches each edge once beats numpy calls per round.
+
+#: The step-2 methods :func:`csr_significant_edges` accepts.
+SCS_EDGE_METHODS = ("peel", "expand", "binary")
 
 
 def _edge_core(
@@ -417,6 +415,87 @@ def _edge_component(
             return np.flatnonzero(reach)
 
 
+def peel_rounds(
+    heads: Sequence[int],
+    tails: Sequence[int],
+    order: Sequence[int],
+    round_ends: Sequence[int],
+    start: Sequence[int],
+    incident: Sequence[int],
+    degree: MutableSequence[int],
+    num_upper: int,
+    query_vertex: int,
+    alpha: int,
+    beta: int,
+) -> Optional[bytearray]:
+    """The incremental SCS peel: the round loop of :func:`_peel_mask`.
+
+    Edges ``0..m-1`` run from upper vertex ``heads[e]`` to lower vertex
+    ``tails[e]`` in one vertex space (upper ids below ``num_upper``); all of
+    them start alive.  ``order`` lists the edges by ascending weight and
+    round ``r`` is ``order[round_ends[r - 1]:round_ends[r]]``, one run of
+    equal weights.  ``start`` / ``incident`` / ``degree`` index the edges
+    by endpoint: the positions incident to vertex ``x`` are
+    ``incident[start[x]:start[x + 1]]`` and ``degree[x]`` is their count
+    (``degree`` is consumed).  Each round removes its alive edges and
+    cascades vertices below their threshold through a stack; an undo log of
+    the round's removals restores the round in which the query dies.  Every
+    edge is removed once and every incidence slice is scanned at most once,
+    so a call costs O(m + n).
+
+    Returns the alive flags of the last round the query survived, or
+    ``None`` if it never dies (impossible for a well-formed input).
+    """
+    alive = bytearray(b"\x01") * len(order)
+    limit = [alpha - 1] * num_upper + [beta - 1] * (len(degree) - num_upper)
+    # Vertices already below threshold fall in the first round's cascade.
+    stack = [x for x, d in enumerate(degree) if 0 < d <= limit[x]]
+    push = stack.append
+    # Undo log: every removal in order; the current round starts at ``mark``.
+    log: List[int] = []
+    record = log.append
+    query_limit = limit[query_vertex]
+    pos = 0
+    for end in round_ends:
+        mark = len(log)
+        for e in order[pos:end]:
+            if alive[e]:
+                alive[e] = 0
+                record(e)
+                x = heads[e]
+                d = degree[x] - 1
+                degree[x] = d
+                if d == limit[x]:
+                    push(x)
+                x = tails[e]
+                d = degree[x] - 1
+                degree[x] = d
+                if d == limit[x]:
+                    push(x)
+        pos = end
+        # Cascade: a vertex below its threshold loses all remaining edges.
+        # A vertex enters the stack once, when it first drops below.
+        while stack:
+            x = stack.pop()
+            ends = tails if x < num_upper else heads
+            for f in incident[start[x] : start[x + 1]]:
+                if alive[f]:
+                    alive[f] = 0
+                    record(f)
+                    y = ends[f]
+                    d = degree[y] - 1
+                    degree[y] = d
+                    if d == limit[y]:
+                        push(y)
+        if degree[query_vertex] <= query_limit:
+            # The graph as it stood at the start of this round is the last
+            # valid one: undo the round's removals.
+            for e in log[mark:]:
+                alive[e] = 1
+            return alive
+    return None
+
+
 def _peel_mask(
     us: np.ndarray,
     ls: np.ndarray,
@@ -429,17 +508,14 @@ def _peel_mask(
     alpha: int,
     beta: int,
 ) -> np.ndarray:
-    """Peel the ``alive`` edge subset; the array twin of ``scs_peel``.
+    """Peel the ``alive`` edge subset; the array form of ``scs_peel``.
 
     Returns the kept edge positions (ascending).  Rounds remove every alive
     edge carrying the current minimum weight, cascade, and on query death
     restore the round and return the query's component.  numpy sorts the
     subset by weight and builds its incidence index with one argsort; the
-    list loop :func:`repro.search.edge_scs.peel_rounds` then removes each
-    edge once.  O(E log E) for the sorts, O(E + V) for the peel, plus the
-    final component fixpoint.
-
-    Contract: remove minimum-weight edges round by round, cascade the core, and return the query's component of the last surviving round.
+    list loop :func:`peel_rounds` then removes each edge once.  O(E log E)
+    for the sorts, O(E + V) for the peel, plus the final component fixpoint.
     """
     live = np.flatnonzero(alive)
     size = int(live.shape[0])
@@ -484,10 +560,7 @@ def _binary_over_edges(
     alpha: int,
     beta: int,
 ) -> np.ndarray:
-    """Binary search over the distinct weights; array twin of ``scs_binary``.
-
-    Contract: query component of the core at the largest weight threshold keeping the query alive; error if none does.
-    """
+    """Binary search over the distinct weights; array form of ``scs_binary``."""
     distinct = np.unique(weight)
     low, high = 0, int(distinct.shape[0]) - 1
     best = None
@@ -522,14 +595,12 @@ def _expand_over_edges(
     beta: int,
     epsilon: float,
 ) -> np.ndarray:
-    """Heaviest-first expansion; array twin of ``expand_over_pool``.
+    """Heaviest-first expansion; array form of ``expand_over_pool``.
 
     The union-find itself runs as a python loop over the interned ids (its
     per-edge work is O(α(n)) and resists vectorisation), but each validation —
     the expensive part the geometric rule amortises — is the vectorised core
     fixpoint plus masked peel above.
-
-    Contract: heaviest-first expansion with epsilon-geometric validation; the first component passing validation is the answer.
     """
     order = np.argsort(-weight, kind="stable")
     descending = weight[order]
@@ -614,7 +685,7 @@ def _expand_over_edges(
         component_edges = comp_edges[root]
         if component_edges == before:
             continue  # C* unchanged in this round.
-        # Lemma 7 / saturation / query-degree pruning, as in the dict twin.
+        # Lemma 7 / saturation / query-degree pruning, as in the dict oracle.
         if alpha * beta - alpha - beta > (
             component_edges - comp_upper[root] - comp_lower[root]
         ):
@@ -652,15 +723,13 @@ def csr_significant_edges(
 ) -> np.ndarray:
     """Extract ``R(α,β)[q]`` from community edge arrays; return edge positions.
 
-    The vectorised counterpart of
-    :func:`repro.search.edge_scs.significant_edge_indices`: ``src`` / ``dst``
-    / ``weight`` are the parallel edge arrays of one retrieved
+    The array-native step 2 of the query pipeline: ``src`` / ``dst`` /
+    ``weight`` are the parallel edge arrays of one retrieved
     (α,β)-community (endpoint ids live in two independent spaces, as on the
     wire), ``query_id`` names the query vertex in the space selected by
     ``query_in_upper``.  Returns the ascending ``np.int64`` positions whose
-    edges form the significant community.
-
-    Contract: ascending positions of the query's significant (alpha,beta)-community edges, identical to the dict-backed scs oracle.
+    edges form the significant community — identical, edge for edge, to what
+    the dict-backed ``scs_*`` oracle computes on the assembled graph.
     """
     check_thresholds(alpha, beta)
     if method not in SCS_EDGE_METHODS:

@@ -12,16 +12,14 @@ extract the significant (α,β)-community ``R``:
 * :func:`~repro.search.baseline.scs_baseline` — index-free expansion over the
   whole connected component (the paper's ``SCS-Baseline``).
 
-The dict-backed functions above are the *oracles*: each also has an
-array-native twin operating directly on the parallel edge arrays a frozen
-index retrieves, without materialising a graph object —
-:func:`repro.search.edge_scs.significant_edge_indices` (pure python, used on
-the no-numpy matrix) and
-:func:`repro.decomposition.csr_kernels.csr_significant_edges` (vectorised).
-The agreement suite asserts all three produce element-wise identical answers;
+The dict-backed functions above are the *oracles*.  The fast path is
+:func:`repro.decomposition.csr_kernels.csr_significant_edges`, which runs the
+same algorithms vectorised over the parallel edge arrays a frozen index
+retrieves, without materialising a graph object.  The agreement suite asserts
+it produces element-wise identical answers to the oracles;
 :meth:`repro.api.CommunitySearcher.significant_community` and the batch /
-serving entry points route through the array twins whenever an array query
-path is available.
+serving entry points route through it whenever an array query path is
+available.
 
 ``method="auto"`` resolves with :func:`resolve_scs_method`: peeling when the
 thresholds are large relative to the graph's degeneracy δ (small search

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import shutil
 import threading
 import time
@@ -49,8 +49,6 @@ PathLike = Union[str, Path]
 
 #: How long to wait for the workers to map their snapshots before giving up.
 _STARTUP_TIMEOUT = 120.0
-#: Poll interval used to interleave queue reads with worker liveness checks.
-_POLL_SECONDS = 0.2
 
 
 def _rebuild_error(info: Tuple[str, str, str]) -> ReproError:
@@ -94,7 +92,9 @@ class CommunityServer:
         would give; *private* queues are what makes supervision possible — a
         worker SIGKILLed while blocked on a shared queue's read lock would
         wedge every other reader forever, whereas an abandoned private queue
-        hurts nobody).
+        hurts nobody).  Results come back the same way, over one private
+        pipe per worker: a worker killed mid-write tears only its own pipe,
+        which the server reads as that worker's death.
     cleanup_snapshot:
         Remove the snapshot directory when the server stops.  Set by
         :meth:`CommunitySearcher.serve` for the temporary snapshots it writes.
@@ -145,10 +145,11 @@ class CommunityServer:
         self._batch_timeout = batch_timeout
         self._cache_entries = cache_entries
         self._processes: List[multiprocessing.Process] = []
-        # One private task queue per worker, aligned with _processes.
+        # One private task queue and result pipe per worker, aligned with
+        # _processes.
         self._task_queues: List = []
+        self._result_readers: List[multiprocessing.connection.Connection] = []
         self._context = None
-        self._results = None
         self._batch_seq = 0
         self._spawned = 0
         self._labels = None
@@ -211,12 +212,12 @@ class CommunityServer:
                     else "spawn"
                 )
             self._context = multiprocessing.get_context(method)
-            self._results = self._context.Queue()
             self._batch_crashes = 0
             try:
                 for _ in range(self._num_workers):
-                    tasks, process = self._spawn_worker()
+                    tasks, reader, process = self._spawn_worker()
                     self._task_queues.append(tasks)
+                    self._result_readers.append(reader)
                     self._processes.append(process)
                 ready = 0
                 while ready < self._num_workers:
@@ -230,23 +231,35 @@ class CommunityServer:
                 raise
             return self
 
-    def _spawn_worker(self) -> Tuple[object, multiprocessing.Process]:
-        """Fork one worker with a fresh private task queue; return both."""
+    def _spawn_worker(
+        self,
+    ) -> Tuple[object, multiprocessing.connection.Connection, multiprocessing.Process]:
+        """Fork one worker with a fresh private task queue and result pipe.
+
+        Returns the task queue, the read end of the result pipe and the
+        process.  The server drops its copy of the write end at once, so the
+        worker holds the only one: when the worker dies, the read end sees
+        EOF.
+        """
         self._spawned += 1
         tasks = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
             args=(
                 str(self._snapshot_dir),
                 tasks,
-                self._results,
+                writer,
                 self._cache_entries,
             ),
             daemon=True,
             name=f"repro-serve-{self._spawned}",
         )
-        process.start()
-        return tasks, process
+        try:
+            process.start()
+        finally:
+            writer.close()
+        return tasks, reader, process
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty when stopped)."""
@@ -271,6 +284,11 @@ class CommunityServer:
                     tasks.put(None)
                 except (OSError, ValueError):  # pragma: no cover - queue gone
                     continue
+            # Nothing is read any more: a worker still writing a result gets
+            # a broken pipe and exits instead of blocking on a full pipe.
+            for reader in self._result_readers:
+                reader.close()
+            self._result_readers = []
             # process.ident is None for workers that never started (a partial
             # startup failure); joining those would raise and mask the cause.
             for process in self._processes:
@@ -281,12 +299,10 @@ class CommunityServer:
                     process.terminate()
                     process.join(timeout=5.0)
             self._processes = []
-            for q in self._task_queues + [self._results]:
-                if q is not None:
-                    q.cancel_join_thread()
-                    q.close()
+            for tasks in self._task_queues:
+                tasks.cancel_join_thread()
+                tasks.close()
             self._task_queues = []
-            self._results = None
 
     def reload(self) -> "CommunityServer":
         """Swap the workers onto the snapshot directory's current version.
@@ -523,24 +539,42 @@ class CommunityServer:
     def _next_message(self, timeout: Optional[float]) -> Tuple[object, ...]:
         """Read one protocol message, watching worker liveness while waiting.
 
-        ``timeout=None`` waits indefinitely — worker deaths are still caught
-        via their exit codes on every poll and handed to
-        :meth:`_handle_worker_death`, so only a wedged-but-alive worker could
-        stall the caller.
+        Waits on every worker's result pipe and process sentinel at once.  A
+        pipe at EOF — or one that ends mid-message, because its worker was
+        killed while writing — and an exited process both count as that
+        worker's death and go to :meth:`_handle_worker_death`; pending
+        messages of a dead worker are read first.  ``timeout=None`` waits
+        indefinitely, so only a wedged-but-alive worker could stall the
+        caller.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            try:
-                return self._results.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                dead = [p for p in self._processes if p.exitcode not in (None, 0)]
-                if dead:
-                    self._handle_worker_death(dead)
-                if deadline is not None and time.monotonic() > deadline:
-                    self.stop(_cleanup=False)
-                    raise ServingError(
-                        f"timed out after {timeout:.0f}s waiting for worker results"
-                    )
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            ready = set(
+                multiprocessing.connection.wait(
+                    self._result_readers + [p.sentinel for p in self._processes],
+                    remaining,
+                )
+            )
+            if not ready:
+                self.stop(_cleanup=False)
+                raise ServingError(
+                    f"timed out after {timeout:.0f}s waiting for worker results"
+                )
+            dead: List[multiprocessing.Process] = []
+            for reader, process in zip(self._result_readers, self._processes):
+                exited = process.sentinel in ready
+                # An exited worker's last messages are still read first.
+                if reader in ready or (exited and reader.poll()):
+                    try:
+                        return reader.recv()
+                    except (EOFError, OSError):
+                        dead.append(process)
+                elif exited:
+                    dead.append(process)
+            self._handle_worker_death(dead)
 
     @staticmethod
     def _apply_policy(

@@ -16,8 +16,6 @@ Two pieces make the fleet self-healing:
   generation flips the signature.  The network front end polls one of these
   to trigger :meth:`CommunityServer.reload` automatically when a maintenance
   writer publishes a new version.
-
-Both are pure stdlib and numpy-free: the watcher only reads JSON manifests.
 """
 
 from __future__ import annotations
@@ -47,8 +45,9 @@ class SupervisedCommunityServer(CommunityServer):
 
     1. reaps the dead process, abandons its private task queue (whose
        internal read lock the corpse may still hold — the reason queues are
-       private per worker in the first place) and forks a replacement with a
-       fresh queue,
+       private per worker in the first place) and its private result pipe
+       (which may end in a torn message), and forks a replacement with a
+       fresh queue and pipe,
     2. reships every shard of the in-flight batch that has not produced a
        result yet (shards the dead worker never took are re-enqueued too —
        duplicates are harmless because shard results are idempotent and the
@@ -112,13 +111,16 @@ class SupervisedCommunityServer(CommunityServer):
             slot = self._processes.index(process)
             process.join(timeout=5.0)
             # A worker SIGKILLed mid-``Queue.get`` dies holding its queue's
-            # internal read lock; the queue is unusable and must be abandoned
-            # (never drained).  Each replacement gets a fresh private queue.
+            # internal read lock, and one killed mid-write leaves a torn
+            # message in its result pipe; both are unusable and must be
+            # abandoned (never drained).  Each replacement gets fresh ones.
             corpse_queue = self._task_queues[slot]
             corpse_queue.cancel_join_thread()
             corpse_queue.close()
-            tasks, replacement = self._spawn_worker()
+            self._result_readers[slot].close()
+            tasks, reader, replacement = self._spawn_worker()
             self._task_queues[slot] = tasks
+            self._result_readers[slot] = reader
             self._processes[slot] = replacement
             replacements.append(replacement)
         self._respawns += len(dead)

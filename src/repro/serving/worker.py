@@ -3,7 +3,8 @@
 Each worker reopens the shared snapshot read-only — the OS backs every
 worker's ``numpy.memmap`` with the same physical pages — wraps it in a
 :class:`~repro.api.CommunitySearcher` and then drains shards of query triples
-from the task queue until it receives the ``None`` stop sentinel.
+from its private task queue until it receives the ``None`` stop sentinel,
+writing every answer to its private result pipe.
 
 Shards are always answered with the ``on_empty="none"`` policy so the result
 list stays aligned with the shard: a ``None`` element marks a query outside
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     from multiprocessing import Queue
+    from multiprocessing.connection import Connection
 
 __all__ = ["worker_main", "describe_error"]
 
@@ -37,9 +39,12 @@ def describe_error(exc: BaseException) -> Tuple[str, str, str]:
 
 
 def worker_main(
-    snapshot_dir: str, tasks: "Queue", results: "Queue", cache_entries: int = 0
+    snapshot_dir: str, tasks: "Queue", results: "Connection", cache_entries: int = 0
 ) -> None:
     """Serve shards from ``tasks`` until the ``None`` sentinel arrives.
+
+    ``results`` is the write end of this worker's result pipe.  When the
+    server has closed the read end (it is stopping) the worker just exits.
 
     Protocol (all messages tuples, first element a tag):
 
@@ -72,50 +77,57 @@ def worker_main(
             )
             index.use_answer_cache(answer_cache)
     except BaseException as exc:  # noqa: BLE001 - report, then die quietly
-        results.put(("fatal", pid, describe_error(exc)))
+        results.send(("fatal", pid, describe_error(exc)))
         return
-    results.put(("ready", pid))
-    # One component cache per batch (unless a cross-batch AnswerCache is
-    # configured): the driver runs batches serially, so a new batch_id means
-    # the previous batch's shards are all done and its memoised components
-    # can be dropped.
-    cache_batch_id = None
-    cache = answer_cache if answer_cache is not None else {}
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        batch_id, shard_id, kind, triples, options = task
-        if answer_cache is None and batch_id != cache_batch_id:
-            cache_batch_id = batch_id
-            cache = {}
-        try:
-            if kind == "community":
-                answers = index.batch_community_edges(
-                    triples, on_empty="none", cache=cache
-                )
-            elif kind == "significant":
-                method = options.get("method", "auto")
-                epsilon = options.get("epsilon", 2.0)
-                if method == "baseline":
-                    # Baseline is index-free and graph-based; its (small)
-                    # extracted graphs ship materialised, as before.
-                    answers = searcher.batch_significant_communities(
-                        triples, method=method, epsilon=epsilon, on_empty="none"
+    try:
+        results.send(("ready", pid))
+        # One component cache per batch (unless a cross-batch AnswerCache is
+        # configured): the server runs batches serially, so a new batch_id
+        # means the previous batch's shards are all done and its memoised
+        # components can be dropped.
+        cache_batch_id = None
+        cache = answer_cache if answer_cache is not None else {}
+        while True:
+            task = tasks.get()
+            if task is None:
+                break
+            batch_id, shard_id, kind, triples, options = task
+            if answer_cache is None and batch_id != cache_batch_id:
+                cache_batch_id = batch_id
+                cache = {}
+            try:
+                if kind == "community":
+                    answers = index.batch_community_edges(
+                        triples, on_empty="none", cache=cache
                     )
+                elif kind == "significant":
+                    method = options.get("method", "auto")
+                    epsilon = options.get("epsilon", 2.0)
+                    if method == "baseline":
+                        # Baseline is index-free and graph-based; its (small)
+                        # extracted graphs ship materialised, as before.
+                        answers = searcher.batch_significant_communities(
+                            triples,
+                            method=method,
+                            epsilon=epsilon,
+                            on_empty="none",
+                        )
+                    else:
+                        # Array-native step 2 over the mapped levels: answers
+                        # are (wire triple, resolved method, search-space
+                        # size) tuples sharing the community cache with
+                        # "community" shards.
+                        answers = index.batch_significant_edges(
+                            triples,
+                            method=method,
+                            epsilon=epsilon,
+                            on_empty="none",
+                            cache=cache,
+                        )
                 else:
-                    # Array-native step 2 over the mapped levels: answers are
-                    # (wire triple, resolved method, search-space size) tuples
-                    # sharing the community cache with "community" shards.
-                    answers = index.batch_significant_edges(
-                        triples,
-                        method=method,
-                        epsilon=epsilon,
-                        on_empty="none",
-                        cache=cache,
-                    )
-            else:
-                raise ValueError(f"unknown task kind {kind!r}")
-            results.put(("result", batch_id, shard_id, answers))
-        except BaseException as exc:  # noqa: BLE001 - ship failures to the driver
-            results.put(("error", batch_id, shard_id, describe_error(exc)))
+                    raise ValueError(f"unknown task kind {kind!r}")
+                results.send(("result", batch_id, shard_id, answers))
+            except BaseException as exc:  # noqa: BLE001 - ship to the server
+                results.send(("error", batch_id, shard_id, describe_error(exc)))
+    except BrokenPipeError:
+        pass  # the server stopped reading: nobody is left to answer

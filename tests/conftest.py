@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import time
 
 import pytest
 
@@ -14,6 +16,34 @@ from repro.graph.generators import (
     random_bipartite,
 )
 from repro.graph.weights import apply_weights
+
+
+def has_exited(pid: int) -> bool:
+    """True once ``pid`` is gone, or is a zombie its parent can reap.
+
+    A killed process stays in ``/proc`` as a zombie (state ``Z``) until its
+    parent reaps it, and a grandchild whose parent already exited waits for
+    init to do so.  A zombie is reapable only once every thread has exited,
+    so a zombie leader with threads still listed does not count yet.
+    """
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+        threads = len(os.listdir(f"/proc/{pid}/task"))
+    except FileNotFoundError:
+        return True
+    # The command name is parenthesised and may contain spaces.
+    state = stat.rsplit(")", 1)[1].split()[0]
+    return state in ("Z", "X") and threads <= 1
+
+
+def wait_for_exit(pid: int, timeout: float = 10.0) -> None:
+    """Return once ``pid`` has exited; fail the test if it has not by ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not has_exited(pid):
+        if time.monotonic() >= deadline:
+            pytest.fail(f"process {pid} still running {timeout:g}s later")
+        time.sleep(0.01)
 
 
 @pytest.fixture

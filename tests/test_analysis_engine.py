@@ -2,9 +2,8 @@
 
 Each checker gets a known-bad fixture package (asserting exact rule ids and
 file/line spans) and a known-good analog (asserting silence).  The suite
-also pins the two global properties the engine exists for: the real tree is
-clean under the repository contracts, and the engine runs end to end with
-numpy blocked.
+also pins the global property the engine exists for: the real tree is clean
+under the repository contracts.
 """
 
 import json
@@ -33,37 +32,6 @@ def _line(path: Path, needle: str) -> int:
 def _spans(findings):
     """Findings reduced to comparable ``(filename, line, rule)`` spans."""
     return sorted((Path(f.path).name, f.line, f.rule) for f in findings)
-
-
-# --------------------------------------------------------------------- #
-# numpy-guard
-# --------------------------------------------------------------------- #
-
-
-class TestNumpyGuard:
-    CONFIG = AnalysisConfig(
-        kernel_modules=("guard_bad.kernels", "guard_good.kernels"),
-        fallback_roots=("guard_bad.api", "guard_good.api"),
-    )
-
-    def test_bad_package_fires_each_rule_once(self):
-        root = FIXTURES / "guard_bad"
-        findings = run_analysis([root], config=self.CONFIG)
-        assert _spans(findings) == [
-            ("api.py", _line(root / "api.py", "from guard_bad.kernels import add"), "NPG002"),
-            ("helpers.py", _line(root / "helpers.py", "import numpy as np"), "NPG001"),
-            ("lazy.py", _line(root / "lazy.py", "import numpy as np"), "NPG003"),
-        ]
-
-    def test_good_package_is_clean(self):
-        findings = run_analysis([FIXTURES / "guard_good"], config=self.CONFIG)
-        assert findings == []
-
-    def test_unreachable_kernel_import_is_allowed(self):
-        # Same bad tree, but with no fallback roots the NPG002 edge is moot.
-        config = AnalysisConfig(kernel_modules=("guard_bad.kernels",))
-        findings = run_analysis([FIXTURES / "guard_bad"], config=config)
-        assert [f.rule for f in findings] == ["NPG001", "NPG003"]
 
 
 # --------------------------------------------------------------------- #
@@ -260,56 +228,69 @@ class TestRealTree:
         assert run_analysis([SRC]) == []
 
 
+@pytest.fixture()
+def snap_bad_contracts(monkeypatch):
+    """Make the CLI's default contracts the ``snap_bad`` fixture config."""
+    import repro.analysis.contracts as contracts
+
+    monkeypatch.setattr(
+        contracts, "default_config", lambda: _snap_config("snap_bad.store")
+    )
+    return FIXTURES / "snap_bad"
+
+
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
         assert cli_main([str(SRC)]) == 0
         out = capsys.readouterr().out
         assert "no findings" in out
 
-    def test_findings_exit_one_and_render_spans(self, capsys):
-        # Default contracts over the bad fixture: its numpy imports are
-        # outside the repository kernel allowlist.
-        assert cli_main(["--select", "NPG", str(FIXTURES / "guard_bad")]) == 1
+    def test_findings_exit_one_and_render_spans(self, capsys, snap_bad_contracts):
+        assert cli_main(["--select", "SNAP", str(snap_bad_contracts)]) == 1
         out = capsys.readouterr().out
-        assert "NPG001" in out and "NPG003" in out
-        assert "helpers.py:3:0" in out
+        assert "SNAP001" in out and "SNAP004" in out
+        line = _line(snap_bad_contracts / "store.py", "dtype=int")
+        assert f"store.py:{line}:" in out
 
-    def test_json_format_is_parseable(self, capsys):
-        assert cli_main(["--select", "NPG", "--format", "json", str(FIXTURES / "guard_bad")]) == 1
+    def test_json_format_is_parseable(self, capsys, snap_bad_contracts):
+        argv = ["--select", "SNAP", "--format", "json", str(snap_bad_contracts)]
+        assert cli_main(argv) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {entry["rule"] for entry in payload} >= {"NPG001", "NPG003"}
+        assert {entry["rule"] for entry in payload} >= {"SNAP001", "SNAP004"}
         assert all({"path", "line", "col", "rule", "message"} <= set(e) for e in payload)
 
     def test_bad_path_exits_two(self, capsys):
         assert cli_main([str(REPO / "no" / "such" / "tree")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_list_rules_names_all_fourteen(self, capsys):
+    def test_list_rules_names_all_eleven(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in (
-            "NPG001", "NPG002", "NPG003",
+        rules = (
             "TWIN001", "TWIN002", "TWIN003", "TWIN004",
             "MAT001", "MAT002", "MAT003",
             "SNAP001", "SNAP002", "SNAP003", "SNAP004",
-        ):
-            assert rule in out
+        )
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert sorted(listed) == sorted(rules)
 
-    def test_select_by_rule_id(self, capsys):
-        assert cli_main(["--select", "NPG003", str(FIXTURES / "guard_bad")]) == 1
+    def test_select_by_rule_id(self, capsys, snap_bad_contracts):
+        assert cli_main(["--select", "SNAP003", str(snap_bad_contracts)]) == 1
         out = capsys.readouterr().out
-        assert "NPG003" in out and "NPG001" not in out
+        assert "SNAP003" in out and "SNAP001" not in out
 
     def test_default_paths_come_from_pyproject(self, tmp_path):
         # With no path arguments the CLI analyses the roots named in
-        # [tool.repro-analysis] of the cwd's pyproject.toml.
-        bad = (FIXTURES / "guard_bad").as_posix()
+        # [tool.repro-analysis] of the cwd's pyproject.toml.  Under the
+        # repository contracts the fixture tree lacks every declared
+        # zero-materialisation entry point, so MAT001 fires.
+        bad = (FIXTURES / "mat_bad").as_posix()
         (tmp_path / "pyproject.toml").write_text(
             f'[tool.repro-analysis]\npaths = ["{bad}"]\n'
         )
         env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--select", "NPG"],
+            [sys.executable, "-m", "repro.analysis", "--select", "MAT"],
             capture_output=True,
             text=True,
             env=env,
@@ -318,45 +299,5 @@ class TestCli:
         if sys.version_info < (3, 11):  # no tomllib: falls back to src/repro
             assert proc.returncode == 2
         else:
-            assert proc.returncode == 1
-            assert "NPG001" in proc.stdout
-
-
-class TestEnginePurity:
-    """The engine is pure ast/stdlib: it must run with numpy blocked."""
-
-    def _run_blocked(self, *argv: str) -> subprocess.CompletedProcess:
-        code = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"  # makes 'import numpy' raise
-            "from repro.analysis.__main__ import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
-        return subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO,
-        )
-
-    def test_full_run_over_the_real_tree_without_numpy(self):
-        result = self._run_blocked(str(SRC))
-        assert result.returncode == 0, result.stderr
-        assert "no findings" in result.stdout
-
-    def test_engine_package_never_mentions_numpy(self):
-        # Eat our own dogfood: the engine's import extraction proves the
-        # engine package itself contains no numpy import, guarded or not.
-        from repro.analysis.core import Project
-        from repro.analysis.imports import module_imports
-
-        project = Project.load([SRC / "analysis"])
-        offenders = [
-            (module.name, record.target)
-            for module in project.modules()
-            for record in module_imports(project, module)
-            if record.target == "numpy" or record.target.startswith("numpy.")
-        ]
-        assert offenders == []
+            assert proc.returncode == 1, proc.stderr
+            assert "MAT001" in proc.stdout

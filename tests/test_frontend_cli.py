@@ -12,15 +12,13 @@ import re
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
+from tests.conftest import has_exited, wait_for_exit
 
 READY_LINE = re.compile(
     r"serving frontend on ([\d.]+):(\d+) \((\d+) workers: ([\d, ]+)\)"
@@ -48,12 +46,10 @@ def snapshot_dir(tmp_path_factory, cli_index):
     return save_snapshot(cli_index, tmp_path_factory.mktemp("cli") / "snap")
 
 
-@pytest.fixture(scope="module")
-def serve_process(snapshot_dir):
-    """One ``repro serve --port 0`` subprocess shared by the module's tests.
+def _start_serve(snapshot_dir):
+    """Start ``repro serve --port 0`` on ``snapshot_dir`` with two workers.
 
-    Yields ``(proc, host, port, worker_pids)``; the teardown SIGINT + the
-    worker-reap check double as the clean-shutdown regression test.
+    Returns ``(proc, host, port, worker_pids)`` once the ready line is out.
     """
     proc = subprocess.Popen(
         [
@@ -73,36 +69,43 @@ def serve_process(snapshot_dir):
         text=True,
         env=_repro_env(),
     )
+    line = proc.stdout.readline()
+    match = READY_LINE.match(line)
+    if not match:
+        _kill(proc)
+        pytest.fail(f"unexpected ready line: {line!r}")
+    host, port = match.group(1), int(match.group(2))
+    pids = [int(p) for p in match.group(4).split(",")]
+    assert int(match.group(3)) == 2 and len(pids) == 2
+    return proc, host, port, pids
+
+
+def _kill(proc):
+    """Make sure ``proc`` is gone and its pipes are closed."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+@pytest.fixture(scope="module")
+def serve_process(snapshot_dir):
+    """One ``repro serve --port 0`` subprocess shared by the module's tests.
+
+    Yields ``(proc, host, port, worker_pids)``.
+    """
+    proc, host, port, pids = _start_serve(snapshot_dir)
     try:
-        line = proc.stdout.readline()
-        match = READY_LINE.match(line)
-        assert match, f"unexpected ready line: {line!r}"
-        host, port = match.group(1), int(match.group(2))
-        pids = [int(p) for p in match.group(4).split(",")]
-        assert int(match.group(3)) == 2 and len(pids) == 2
         yield proc, host, port, pids
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGINT)
             try:
-                returncode = proc.wait(timeout=30)
+                proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                pytest.fail("frontend did not exit on SIGINT")
-            stderr = proc.stderr.read()
-            assert returncode == 0, (returncode, stderr)
-            assert "interrupted" in stderr
-            deadline = time.monotonic() + 10
-            alive = pids
-            while time.monotonic() < deadline:
-                alive = [p for p in pids if os.path.exists(f"/proc/{p}")]
-                if not alive:
-                    break
-                time.sleep(0.2)
-            assert not alive, f"workers survived SIGINT: {alive}"
-        proc.stdout.close()
-        proc.stderr.close()
+                pass
+        _kill(proc)
 
 
 class TestServeFrontendCli:
@@ -148,8 +151,20 @@ class TestServeFrontendCli:
         assert result.returncode != 0
         assert "frontend" in result.stderr.lower() or "port" in result.stderr.lower()
 
-    def test_sigint_shutdown_is_clean(self, serve_process):
-        """The actual assertions live in the fixture teardown; this test just
-        documents that the shared server is deliberately killed with SIGINT."""
-        proc, _, _, _ = serve_process
-        assert proc.poll() is None  # still running while tests use it
+    def test_sigint_shutdown_is_clean(self, snapshot_dir):
+        """SIGINT exits 0, says "interrupted" and leaves no live worker."""
+        proc, _, _, pids = _start_serve(snapshot_dir)
+        try:
+            assert not any(has_exited(pid) for pid in pids)
+            proc.send_signal(signal.SIGINT)
+            try:
+                returncode = proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                pytest.fail("frontend did not exit on SIGINT")
+            stderr = proc.stderr.read()
+            assert returncode == 0, (returncode, stderr)
+            assert "interrupted" in stderr
+            for pid in pids:
+                wait_for_exit(pid)
+        finally:
+            _kill(proc)

@@ -1,43 +1,36 @@
 """Agreement suite for the array-native significant search (step 2).
 
-The dict-backed ``scs_*`` algorithms are the oracle.  The pure-python edge
-twins (:mod:`repro.search.edge_scs`) and the vectorised CSR kernels
-(:func:`repro.decomposition.csr_kernels.csr_significant_edges`) must return
-element-wise identical answers — same vertices, same edges — on many seeded
-weighted graphs, for a grid of (α,β), for every algorithm, through every
-entry point (direct kernel calls, batch APIs on both construction backends,
-and the snapshot/serving pipeline).  The module runs fully in the no-numpy CI
-job: the twins are numpy-free, and the kernel / batch-CSR parts skip
-themselves.
+The dict-backed ``scs_*`` algorithms are the oracle.  The vectorised CSR
+kernels (:func:`repro.decomposition.csr_kernels.csr_significant_edges`) must
+return element-wise identical answers — same vertices, same edges — on many
+seeded weighted graphs, for a grid of (α,β), for every algorithm, through
+every entry point (direct kernel calls, batch APIs on both construction
+backends, and the snapshot/serving pipeline).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import CommunitySearcher
+from repro.decomposition.abcore import abcore_subgraph
+from repro.decomposition.csr_kernels import _peel_mask, csr_significant_edges
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
+from repro.graph.views import connected_component
 from repro.graph.weights import apply_weights
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.search.baseline import scs_baseline
 from repro.search.binary import scs_binary
-from repro.search.edge_scs import (
-    _component_indices,
-    _core_fixpoint,
-    _peel_indices,
-    significant_edge_indices,
-)
 from repro.search.expand import scs_expand
 from repro.search.peel import scs_peel
 
 from tests.conftest import make_random_weighted_graph
 from tests.reference import assert_same_graph
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="CSR kernels need numpy")
-BACKENDS = ["dict", pytest.param("csr", marks=needs_numpy)]
+BACKENDS = ["dict", "csr"]
 
 GRID = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 METHODS = ("peel", "expand", "binary")
@@ -55,10 +48,16 @@ def community_edge_lists(community):
     return src, dst, weight, upper_ids, lower_ids
 
 
-def edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids):
+def edge_triples_of(src, dst, weight, upper_ids, lower_ids):
+    """The wire lists translated back to labelled ``(u, v, w)`` triples."""
     inv_u = {i: label for label, i in upper_ids.items()}
     inv_l = {i: label for label, i in lower_ids.items()}
-    return {(inv_u[src[e]], inv_l[dst[e]], weight[e]) for e in kept}
+    return [(inv_u[s], inv_l[d], w) for s, d, w in zip(src, dst, weight)]
+
+
+def edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids):
+    triples = edge_triples_of(src, dst, weight, upper_ids, lower_ids)
+    return {triples[e] for e in kept}
 
 
 def core_queries(index, alpha, beta, per_side=1):
@@ -70,7 +69,7 @@ def core_queries(index, alpha, beta, per_side=1):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_oracle_and_array_twins_agree(seed):
-    """peel == expand == binary == baseline == edge twins (== kernels)."""
+    """peel == expand == binary == baseline == the CSR kernels."""
     graph = make_random_weighted_graph(seed)
     index = DegeneracyIndex(graph, backend="dict")
     checked = 0
@@ -87,19 +86,12 @@ def test_oracle_and_array_twins_agree(seed):
             query_id = (upper_ids if query_upper else lower_ids)[query.label]
             oracle_edges = set(graph_edge_triples(oracle))
             for method in METHODS:
-                kept = significant_edge_indices(
+                kept = csr_significant_edges(
                     src, dst, weight, query_upper, query_id, alpha, beta, method=method
-                )
+                ).tolist()
+                assert kept == sorted(kept)
                 got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
                 assert got == oracle_edges, (seed, alpha, beta, query, method)
-                if HAS_NUMPY:
-                    from repro.decomposition.csr_kernels import csr_significant_edges
-
-                    kernel_kept = csr_significant_edges(
-                        src, dst, weight, query_upper, query_id, alpha, beta,
-                        method=method,
-                    )
-                    assert kernel_kept.tolist() == kept, (seed, alpha, beta, query, method)
             checked += 1
     assert checked > 0
 
@@ -178,31 +170,23 @@ class TestUniformWeightExit:
 
     def test_array_twins_match_exit(self):
         src, dst, weight = [0, 0, 1, 1], [0, 1, 0, 1], [3.0, 3.0, 3.0, 3.0]
-        kept = significant_edge_indices(src, dst, weight, True, 1, 2, 2)
-        assert kept == [0, 1, 2, 3]
+        for method in METHODS:
+            kept = csr_significant_edges(src, dst, weight, True, 1, 2, 2, method=method)
+            assert kept.tolist() == [0, 1, 2, 3]
         with pytest.raises(InvalidParameterError):
-            significant_edge_indices(src, dst, weight, True, 9, 2, 2)
-        if HAS_NUMPY:
-            from repro.decomposition.csr_kernels import csr_significant_edges
-
-            assert csr_significant_edges(
-                src, dst, weight, True, 1, 2, 2
-            ).tolist() == [0, 1, 2, 3]
-            with pytest.raises(InvalidParameterError):
-                csr_significant_edges(src, dst, weight, True, 9, 2, 2)
+            csr_significant_edges(src, dst, weight, True, 9, 2, 2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
-            significant_edge_indices([0], [0], [1.0], True, 0, 1, 1, method="magic")
+            csr_significant_edges([0], [0], [1.0], True, 0, 1, 1, method="magic")
 
     def test_expand_epsilon_validated(self):
         with pytest.raises(InvalidParameterError):
-            significant_edge_indices(
+            csr_significant_edges(
                 [0], [0], [1.0], True, 0, 1, 1, method="expand", epsilon=1.0
             )
 
 
-@needs_numpy
 class TestNoMaterialisation:
     """The array-native pipeline must never assemble a dict graph per answer.
 
@@ -320,8 +304,8 @@ class TestNoMaterialisation:
 # round — and the peel inputs also include the masked ``alive`` subsets that
 # expand's validation hands to the peel, plus a hand-built graph whose fatal
 # round cascades around a long cycle far from the query.  The CSR kernel
-# ``_peel_mask``, its pure-python twin ``_peel_indices`` and the dict oracle
-# ``scs_peel`` must agree element-wise throughout.
+# ``_peel_mask`` and the dict oracle ``scs_peel`` must agree element-wise
+# throughout.
 
 HEAVY_EDGES = 2500
 #: (α,β) pairs whose communities keep >= 1k edges on these graphs; with
@@ -366,10 +350,6 @@ def interned(community, query):
 
 def kernel_peel(src, dst, weight, alive, query_upper, query_id, alpha, beta):
     """``_peel_mask`` over the wire lists, as ``csr_significant_edges`` calls it."""
-    import numpy as np
-
-    from repro.decomposition.csr_kernels import _peel_mask
-
     upper_ids, us = np.unique(np.asarray(src, dtype=np.int64), return_inverse=True)
     lower_ids, ls = np.unique(np.asarray(dst, dtype=np.int64), return_inverse=True)
     pool = upper_ids if query_upper else lower_ids
@@ -382,18 +362,9 @@ def kernel_peel(src, dst, weight, alive, query_upper, query_id, alpha, beta):
     return kept.tolist()
 
 
-def twin_peel(src, dst, weight, alive, query_upper, query_id, alpha, beta):
-    """``_peel_indices`` over the wire lists (ids are already dense here)."""
-    num_upper, num_lower = max(src) + 1, max(dst) + 1
-    return _peel_indices(
-        src, dst, weight, num_upper, num_lower, list(alive),
-        query_upper, query_id, alpha, beta,
-    )
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_large_uf_communities_agree(seed):
-    """Thousands of single-edge rounds: kernel == twin == dict oracle."""
+    """Thousands of single-edge rounds: kernels == dict oracle."""
     graph = uf_graph(seed)
     searcher = CommunitySearcher(graph, backend="dict")
     for alpha, beta in HEAVY_GRID:
@@ -405,24 +376,16 @@ def test_large_uf_communities_agree(seed):
                 interned(community, query)
             )
             everything = [True] * len(src)
-            twin = twin_peel(src, dst, weight, everything, query_upper, query_id, alpha, beta)
-            got = edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids)
+            kept = kernel_peel(
+                src, dst, weight, everything, query_upper, query_id, alpha, beta
+            )
+            got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
             assert got == oracle, (seed, alpha, beta, query)
             for method in ("peel", "expand"):
-                assert significant_edge_indices(
-                    src, dst, weight, query_upper, query_id, alpha, beta, method=method
-                ) == twin, (seed, alpha, beta, query, method)
-            if HAS_NUMPY:
-                from repro.decomposition.csr_kernels import csr_significant_edges
-
-                assert kernel_peel(
-                    src, dst, weight, everything, query_upper, query_id, alpha, beta
-                ) == twin, (seed, alpha, beta, query)
-                for method in ("peel", "expand"):
-                    assert csr_significant_edges(
-                        src, dst, weight, query_upper, query_id, alpha, beta,
-                        method=method,
-                    ).tolist() == twin, (seed, alpha, beta, query, method)
+                assert csr_significant_edges(
+                    src, dst, weight, query_upper, query_id, alpha, beta,
+                    method=method,
+                ).tolist() == kept, (seed, alpha, beta, query, method)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -448,26 +411,23 @@ def test_large_uf_batch_matches_oracle(backend, method):
         assert resolved == {"peel", "expand"}
 
 
-def validation_subsets(src, dst, weight, query_upper, query_id, alpha, beta):
-    """The masks expand's ``validate`` passes to the peel.
+def validation_subsets(community, query, alpha, beta):
+    """The edge subgraphs expand's ``validate`` passes to the peel.
 
     For growing heaviest-first prefixes: the prefix's (α,β)-core, restricted
-    to the query's component — kept only where the query survives.
+    to the query's component — kept only where the query survives.  Built
+    with the dict oracle's core and component routines.
     """
-    num_upper, num_lower = max(src) + 1, max(dst) + 1
-    heaviest_first = sorted(range(len(weight)), key=lambda e: -weight[e])
+    heaviest_first = sorted(community.edges(), key=lambda edge: -edge[2])
     subsets = []
     for share in (0.2, 0.3, 0.4, 0.5, 0.6, 0.75):
-        prefix = [False] * len(weight)
-        for e in heaviest_first[: int(len(weight) * share)]:
-            prefix[e] = True
-        core, du, dl = _core_fixpoint(src, dst, num_upper, num_lower, prefix, alpha, beta)
-        if (du[query_id] if query_upper else dl[query_id]) == 0:
+        prefix = BipartiteGraph()
+        for u, v, w in heaviest_first[: int(len(heaviest_first) * share)]:
+            prefix.add_edge(u, v, w)
+        core = abcore_subgraph(prefix, alpha, beta, backend="dict")
+        if not core.has_vertex(query.side, query.label):
             continue
-        mask = [False] * len(weight)
-        for e in _component_indices(src, dst, core, query_upper, query_id):
-            mask[e] = True
-        subsets.append(mask)
+        subsets.append(connected_component(core, query))
     return subsets
 
 
@@ -483,24 +443,17 @@ def test_validation_subsets_agree(seed):
             src, dst, weight, upper_ids, lower_ids, query_upper, query_id = (
                 interned(community, query)
             )
-            inv_u = {i: label for label, i in upper_ids.items()}
-            inv_l = {i: label for label, i in lower_ids.items()}
-            for mask in validation_subsets(
-                src, dst, weight, query_upper, query_id, alpha, beta
-            ):
-                subgraph = BipartiteGraph()
-                for e, keep in enumerate(mask):
-                    if keep:
-                        subgraph.add_edge(inv_u[src[e]], inv_l[dst[e]], weight[e])
+            for subgraph in validation_subsets(community, query, alpha, beta):
+                members = {(u, v) for u, v, _ in subgraph.edges()}
+                triples = edge_triples_of(src, dst, weight, upper_ids, lower_ids)
+                mask = [(u, v) in members for u, v, _ in triples]
                 oracle = graph_edge_triples(scs_peel(subgraph, query, alpha, beta))
-                twin = twin_peel(src, dst, weight, mask, query_upper, query_id, alpha, beta)
-                got = edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids)
+                kept = kernel_peel(
+                    src, dst, weight, mask, query_upper, query_id, alpha, beta
+                )
+                got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
                 assert got == oracle, (seed, alpha, beta, query)
-                assert all(mask[e] for e in twin)
-                if HAS_NUMPY:
-                    assert kernel_peel(
-                        src, dst, weight, mask, query_upper, query_id, alpha, beta
-                    ) == twin, (seed, alpha, beta, query)
+                assert all(mask[e] for e in kept)
                 checked += 1
     assert checked >= 10
 
@@ -549,9 +502,6 @@ def test_fatal_round_cascades_far_from_the_query(tied):
 
     src, dst, weight, upper_ids, lower_ids, query_upper, query_id = interned(graph, query)
     everything = [True] * len(src)
-    twin = twin_peel(src, dst, weight, everything, query_upper, query_id, 2, 2)
-    assert edge_set_of_indices(twin, src, dst, weight, upper_ids, lower_ids) == main_cycle
-    if HAS_NUMPY:
-        assert kernel_peel(
-            src, dst, weight, everything, query_upper, query_id, 2, 2
-        ) == twin
+    kept = kernel_peel(src, dst, weight, everything, query_upper, query_id, 2, 2)
+    got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
+    assert got == main_cycle

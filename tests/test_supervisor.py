@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.exceptions import ServingError
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
+from tests.conftest import wait_for_exit
+
+#: Kill tests bound every batch: a wedged gather fails with a ServingError
+#: instead of hanging the suite.
+BATCH_TIMEOUT = 30.0
 
 
 @pytest.fixture(scope="module")
@@ -71,43 +76,18 @@ def _append_delta(snapshot_dir):
     assert snapshot_version(snapshot_dir) == before + 1
 
 
-def _has_exited(pid: int) -> bool:
-    """True once ``pid`` is gone, or is a zombie its parent can reap.
-
-    A SIGKILLed worker stays in ``/proc`` as a zombie (state ``Z``) until the
-    supervisor reaps it.  Its parent can reap it only once every thread has
-    exited, so a zombie leader with threads still listed does not count yet.
-    """
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            stat = handle.read()
-        threads = len(os.listdir(f"/proc/{pid}/task"))
-    except FileNotFoundError:
-        return True
-    # The command name is parenthesised and may contain spaces.
-    state = stat.rsplit(")", 1)[1].split()[0]
-    return state in ("Z", "X") and threads <= 1
-
-
-def _wait_for_exit(pid: int, timeout: float = 10.0) -> None:
-    """Return once ``pid`` has exited; fail the test if it has not by ``timeout``."""
-    deadline = time.monotonic() + timeout
-    while not _has_exited(pid):
-        if time.monotonic() >= deadline:
-            pytest.fail(f"process {pid} still running {timeout:g}s after SIGKILL")
-        time.sleep(0.01)
-
-
 class TestSupervisedServer:
     def test_respawns_after_idle_kill_and_answers_match(
         self, snapshot_dir, mixed_queries, expected
     ):
         from repro.serving.supervisor import SupervisedCommunityServer
 
-        with SupervisedCommunityServer(snapshot_dir, num_workers=2) as server:
+        with SupervisedCommunityServer(
+            snapshot_dir, num_workers=2, batch_timeout=BATCH_TIMEOUT
+        ) as server:
             victim = server.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
-            _wait_for_exit(victim)
+            wait_for_exit(victim)
             answers = server.batch_community(mixed_queries, on_empty="none")
             assert server.respawns >= 1
             _assert_matches(answers, expected)
@@ -119,7 +99,9 @@ class TestSupervisedServer:
     ):
         from repro.serving.supervisor import SupervisedCommunityServer
 
-        with SupervisedCommunityServer(snapshot_dir, num_workers=2) as server:
+        with SupervisedCommunityServer(
+            snapshot_dir, num_workers=2, batch_timeout=BATCH_TIMEOUT
+        ) as server:
             server.batch_community(mixed_queries[:2], on_empty="none")  # warm
 
             def killer():
@@ -143,13 +125,16 @@ class TestSupervisedServer:
         from repro.serving.supervisor import SupervisedCommunityServer
 
         server = SupervisedCommunityServer(
-            snapshot_dir, num_workers=1, max_respawns_per_batch=0
+            snapshot_dir,
+            num_workers=1,
+            max_respawns_per_batch=0,
+            batch_timeout=BATCH_TIMEOUT,
         )
         try:
             server.start()
             victim = server.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
-            _wait_for_exit(victim)
+            wait_for_exit(victim)
             with pytest.raises(ServingError, match="kept crashing"):
                 server.batch_community(mixed_queries[:4], on_empty="none")
             assert not server.is_running
@@ -159,11 +144,13 @@ class TestSupervisedServer:
     def test_ensure_workers_heals_idle_deaths(self, snapshot_dir, mixed_queries):
         from repro.serving.supervisor import SupervisedCommunityServer
 
-        with SupervisedCommunityServer(snapshot_dir, num_workers=2) as server:
+        with SupervisedCommunityServer(
+            snapshot_dir, num_workers=2, batch_timeout=BATCH_TIMEOUT
+        ) as server:
             assert server.ensure_workers() == 0  # nothing to do
             victim = server.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
-            _wait_for_exit(victim)
+            wait_for_exit(victim)
             assert server.ensure_workers() == 1
             assert len(server.worker_pids()) == 2
             answers = server.batch_community(mixed_queries[:5], on_empty="none")
@@ -190,6 +177,98 @@ class TestSupervisedServer:
             server.reload()
             thread.join()
             _assert_matches(results["answers"], expected * 5)
+
+
+def _tearing_worker_main(flag_path):
+    """A ``worker_main`` whose first result message is torn mid-frame.
+
+    The first worker to claim ``flag_path`` wraps its result pipe so that the
+    first ``"result"`` message writes a length header promising the whole
+    pickled frame, then only half of the frame, then SIGKILLs its own
+    process.  Every other worker (respawns included) behaves normally.
+    """
+    from repro.serving.worker import worker_main
+
+    class TearingPipe:
+        def __init__(self, conn):
+            self._conn = conn
+
+        def send(self, message):
+            if message[0] == "result":
+                frame = pickle.dumps(message)
+                torn = struct.pack("!i", len(frame)) + frame[: len(frame) // 2]
+                os.write(self._conn.fileno(), torn)
+                os.kill(os.getpid(), signal.SIGKILL)
+            self._conn.send(message)
+
+    def main(snapshot_dir, tasks, results, cache_entries=0):
+        try:
+            os.close(os.open(flag_path, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return worker_main(snapshot_dir, tasks, results, cache_entries)
+        return worker_main(snapshot_dir, tasks, TearingPipe(results), cache_entries)
+
+    return main
+
+
+@pytest.fixture()
+def tearing_workers(monkeypatch, tmp_path):
+    """Fork workers through :func:`_tearing_worker_main`; yields the flag path."""
+    import multiprocessing
+
+    import repro.serving.server as server_module
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork so workers inherit the patched worker entry")
+    flag = tmp_path / "torn"
+    monkeypatch.setattr(server_module, "worker_main", _tearing_worker_main(str(flag)))
+    return flag
+
+
+class TestTornResultFrame:
+    """A worker killed halfway through writing a result frame.
+
+    Its private result pipe ends mid-message.  The server must read that as
+    the worker's death — not block forever in the frame read — whether the
+    fleet is supervised or not.
+    """
+
+    def test_supervised_server_respawns_and_answers(
+        self, snapshot_dir, mixed_queries, expected, tearing_workers
+    ):
+        from repro.serving.supervisor import SupervisedCommunityServer
+
+        with SupervisedCommunityServer(
+            snapshot_dir,
+            num_workers=2,
+            start_method="fork",
+            batch_timeout=BATCH_TIMEOUT,
+        ) as server:
+            answers = server.batch_community(mixed_queries, on_empty="none")
+            assert tearing_workers.exists()
+            assert server.respawns == 1
+            _assert_matches(answers, expected)
+
+    def test_unsupervised_server_fails_fast(
+        self, snapshot_dir, mixed_queries, tearing_workers
+    ):
+        from repro.serving.server import CommunityServer
+
+        server = CommunityServer(
+            snapshot_dir,
+            num_workers=2,
+            start_method="fork",
+            batch_timeout=BATCH_TIMEOUT,
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(ServingError, match="died while serving"):
+                server.batch_community(mixed_queries, on_empty="none")
+            assert time.monotonic() - started < BATCH_TIMEOUT / 2
+            assert tearing_workers.exists()
+            assert not server.is_running
+        finally:
+            server.stop()
 
 
 class TestReloadUnderTraffic:

@@ -1,4 +1,4 @@
-"""Batched CSR query path vs per-query dict ``Qopt`` on a 100k-edge graph.
+"""Batched array query path vs per-query ``Qopt`` on a 100k-edge graph.
 
 The paper's headline is optimal *per-query* retrieval; the ROADMAP's serving
 story is heavy *query traffic*.  This benchmark measures the gap between the
@@ -6,13 +6,12 @@ two on the shape that traffic takes: one prebuilt ``DegeneracyIndex`` and a
 stream of 500 community queries sampled (seeded) from several (α,β)-cores of
 a skewed power-law graph.
 
-* **per-query dict Qopt** — ``index.community(q, α, β)`` in a loop: the
-  classic BFS over dict-of-tuples adjacency lists, one answer graph built
-  edge by edge per call.
-* **batch CSR path** — ``index.batch_community(stream)``: the index is
-  frozen into flat per-level arrays once, every retrieval runs the
-  vectorised array BFS with a shared visited bitmap, and repeated hits on an
-  already-retrieved component are served as copies.
+* **per-query Qopt** — ``index.community(q, α, β)`` in a loop: one array
+  BFS over the index's level arrays and one answer graph per call, nothing
+  shared between calls.
+* **batch path** — ``index.batch_community(stream)``: every retrieval runs
+  the same vectorised array BFS, and repeated hits on an already-retrieved
+  component are served as copies.
 
 Both produce element-wise identical answers (asserted below, as is agreement
 between batch and sequential *significant-community* search on both
@@ -103,7 +102,7 @@ def run_comparison() -> Dict[str, float]:
 
     start = time.perf_counter()
     sequential = [index.community(q, a, b) for q, a, b in queries]
-    dict_seconds = time.perf_counter() - start
+    sequential_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     batched = index.batch_community(queries)
@@ -117,10 +116,10 @@ def run_comparison() -> Dict[str, float]:
 
     return {
         "queries": float(len(queries)),
-        "dict_seconds": dict_seconds,
+        "sequential_seconds": sequential_seconds,
         "batch_seconds": batch_seconds,
-        "speedup": dict_seconds / batch_seconds,
-        "dict_qps": len(queries) / dict_seconds,
+        "speedup": sequential_seconds / batch_seconds,
+        "sequential_qps": len(queries) / sequential_seconds,
         "batch_qps": len(queries) / batch_seconds,
     }
 
@@ -155,9 +154,9 @@ def format_report(report: Dict[str, float]) -> str:
             f"|U|={graph.num_upper} |L|={graph.num_lower} |E|={graph.num_edges}, "
             f"{int(report['queries'])} queries",
             f"{'path':<24} {'total [s]':>10} {'queries/s':>10}",
-            f"{'per-query dict Qopt':<24} {report['dict_seconds']:>10.3f} "
-            f"{report['dict_qps']:>10.1f}",
-            f"{'batch CSR path':<24} {report['batch_seconds']:>10.3f} "
+            f"{'per-query Qopt':<24} {report['sequential_seconds']:>10.3f} "
+            f"{report['sequential_qps']:>10.1f}",
+            f"{'batch path':<24} {report['batch_seconds']:>10.3f} "
             f"{report['batch_qps']:>10.1f}",
             f"speedup: {report['speedup']:.1f}x",
         ]
@@ -172,11 +171,11 @@ def comparison_report():
     return run_comparison()
 
 
-def test_batch_csr_path_meets_speedup_target(comparison_report):
+def test_batch_path_meets_speedup_target(comparison_report):
     print()
     print(format_report(comparison_report))
     assert comparison_report["speedup"] >= MIN_SPEEDUP, (
-        f"batch CSR query speedup {comparison_report['speedup']:.1f}x "
+        f"batch query speedup {comparison_report['speedup']:.1f}x "
         f"below the {MIN_SPEEDUP:.1f}x target"
     )
 
@@ -193,7 +192,7 @@ def main() -> int:
     if report["speedup"] < MIN_SPEEDUP:
         print(f"FAIL: below the {MIN_SPEEDUP:.1f}x speedup target")
         return 1
-    print(f"OK: batch CSR path {report['speedup']:.1f}x faster")
+    print(f"OK: batch path {report['speedup']:.1f}x faster")
     return 0
 
 

@@ -56,11 +56,6 @@ TWIN_REGISTRY = (
         signature=False,
     ),
     TwinPair(
-        kernel="repro.index.csr_build:patch_level_arrays",
-        twin="repro.index.maintenance:DynamicDegeneracyIndex._apply_level_patch",
-        signature=False,
-    ),
-    TwinPair(
         kernel="repro.index.parallel_build:_parallel_payloads",
         twin="repro.index.parallel_build:_sequential_payloads",
         kernel_only=("jobs",),

@@ -139,18 +139,19 @@ class CommunitySearcher:
         if method == "baseline":
             return self._baseline_result(query, alpha, beta, epsilon)
         index = self._index
-        if getattr(index, "native_array_levels", False):
-            # Array-native step 2: retrieval and extraction both run over the
-            # wire edge arrays, no per-query graph assembly.  Only taken when
-            # the index's level arrays already exist (CSR-built or
-            # snapshot-backed) — a dict-built index would pay a whole-level
-            # conversion for one query, so it keeps the dict algorithms.
-            packed = index.batch_significant_edges(
-                [(query, alpha, beta)], method=method, epsilon=epsilon
-            )
-            return self._wire_result(packed[0], query, alpha, beta)
-        community = self.community(query, alpha, beta)
-        return self._extract(community, query, alpha, beta, method, epsilon)
+        oracle = isinstance(index, DegeneracyIndex) and index.backend == "dict"
+        if oracle or not hasattr(index, "batch_significant_edges"):
+            # A dict-built index answers single queries with the paper-literal
+            # scs_* algorithms: it is the oracle the array kernels are
+            # checked against.
+            community = self.community(query, alpha, beta)
+            return self._extract(community, query, alpha, beta, method, epsilon)
+        # Array-native step 2: retrieval and extraction both run over the
+        # wire edge arrays, no per-query graph assembly.
+        packed = index.batch_significant_edges(
+            [(query, alpha, beta)], method=method, epsilon=epsilon
+        )
+        return self._wire_result(packed[0], query, alpha, beta)
 
     # ------------------------------------------------------------------ #
     # batch querying
@@ -206,8 +207,7 @@ class CommunitySearcher:
         index = self._index
         if hasattr(index, "batch_significant_edges"):
             # Array-native pipeline: retrieval and extraction run over the
-            # wire edge arrays (levels converted lazily at most once for the
-            # whole stream) and no dict graph is built per community.
+            # wire edge arrays and no dict graph is built per community.
             packed = index.batch_significant_edges(
                 queries,
                 method=method,

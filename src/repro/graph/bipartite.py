@@ -39,6 +39,11 @@ class Side(enum.Enum):
     UPPER = "upper"
     LOWER = "lower"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it is a C slot, where Enum's default hashes
+    # the member name in Python on every Vertex dict/set lookup.
+    __hash__ = object.__hash__
+
     @property
     def other(self) -> "Side":
         """Return the opposite layer."""

@@ -156,8 +156,8 @@ class CommunityIndex(abc.ABC):
 
         Lazily creates and caches one
         :class:`~repro.index.traversal.ArrayQueryPath` over the indexed
-        graph's vertices; subclasses that build level arrays natively (the
-        CSR construction backend) pre-populate ``self._array_path`` instead.
+        graph's vertices; the degeneracy index, whose levels live only as
+        arrays, builds ``self._array_path`` during construction instead.
         """
         path = getattr(self, "_array_path", None)
         if path is None:
@@ -168,15 +168,6 @@ class CommunityIndex(abc.ABC):
             )
             self._array_path = path
         return path
-
-    def _invalidate_query_arrays(self) -> None:
-        """Drop the array query path after the index structure changed.
-
-        Called by :class:`~repro.index.maintenance.DynamicDegeneracyIndex`
-        whenever an edge update patches the dict lists in place; the path is
-        rebuilt lazily from the patched lists on the next batch query.
-        """
-        self._array_path = None
 
     @abc.abstractmethod
     def stats(self) -> IndexStats:

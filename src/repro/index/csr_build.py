@@ -1,37 +1,34 @@
-"""Array-native assembly of sorted index adjacency lists and level arrays.
+"""Array-native assembly of index levels: :class:`LevelArrays` and helpers.
 
-The edge-level indexes (``BasicIndex`` and ``DegeneracyIndex``) store, per
-level, a map ``{vertex: [(neighbour, weight, neighbour_offset), ...]}`` with
-every list sorted by decreasing offset.  The dict backend builds those lists
-one vertex at a time (iterate the neighbour dict, filter, ``list.sort``); this
-module builds a whole level at once from a frozen CSR snapshot:
+:class:`LevelArrays` is the one store of an index level: per-vertex entry
+slices over parallel ``entry_vertex`` / ``entry_weight`` / ``entry_offset``
+arrays in a *global* vertex id space (upper vertex ``i`` ↦ ``i``, lower
+vertex ``j`` ↦ ``num_upper + j``), each slice sorted by decreasing offset,
+plus the per-vertex ``offsets`` of the level.  The degeneracy index builds,
+queries, maintains and persists nothing else.  A whole level is built at
+once from a frozen CSR snapshot:
 
 1. expand each layer's CSR into parallel edge arrays ``(src, dst, weight)``;
 2. filter with boolean masks (list-owner membership × entry eligibility);
-3. one stable ``np.lexsort`` by ``(src, -offset)`` orders *all* lists of the
-   level simultaneously;
-4. a single linear pass materialises the Python tuples.
+3. one stable ``np.lexsort`` by ``(src, -offset)`` orders *all* slices of
+   the level simultaneously;
+4. a bincount + cumulative sum yields the slice boundaries.
 
 Because ``np.lexsort`` is stable and the CSR neighbour order preserves the
-source graph's adjacency order, ties inside a list come out in exactly the
-order the dict backend produces, so both backends build *identical*
-structures — which keeps :class:`~repro.index.maintenance.DynamicDegeneracyIndex`
-(which patches these dicts in place) backend-agnostic.
-
-The same sorted edge arrays also feed :class:`LevelArrays`, the flat CSR-like
-representation of one index level consumed by the array-backed query path
-(:mod:`repro.index.traversal`): per-vertex entry slices over parallel
-``entry_vertex`` / ``entry_weight`` / ``entry_offset`` arrays in a *global*
-vertex id space (upper vertex ``i`` ↦ ``i``, lower vertex ``j`` ↦
-``num_upper + j``).  :func:`level_arrays_from_dicts` derives the identical
-structure from the dict adjacency lists, so dict-built (and incrementally
-maintained) indexes can serve the array query path too.
+source graph's adjacency order, ties inside a slice come out in exactly the
+order the paper-literal dict construction produces;
+:func:`level_arrays_from_dicts` converts that construction's dict adjacency
+lists into the identical structure (the oracle of the agreement suites, and
+the lazy level store of the basic indexes, which still keep dict lists).
+:func:`patch_level_arrays` splices recomputed slices into a level (the
+maintenance engine and snapshot delta replay) and :func:`remap_level_arrays`
+moves a level into another id space (vertex growth, full snapshot export).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +44,7 @@ __all__ = [
     "level_side_entries",
     "build_level_arrays",
     "level_arrays_from_dicts",
-    "level_dicts_from_arrays",
-    "entries_to_patch_arrays",
+    "remap_level_arrays",
     "patch_level_arrays",
     "assemble_sorted_vertex_table",
 ]
@@ -80,6 +76,17 @@ class LevelArrays:
     @property
     def num_entries(self) -> int:
         return int(self.entry_vertex.shape[0])
+
+    def copy(self) -> "LevelArrays":
+        """An owned, writable copy (e.g. of memory-mapped snapshot segments)."""
+        return LevelArrays(
+            num_upper=self.num_upper,
+            indptr=np.array(self.indptr, dtype=np.int64, copy=True),
+            entry_vertex=np.array(self.entry_vertex, dtype=np.int64, copy=True),
+            entry_weight=np.array(self.entry_weight, dtype=np.float64, copy=True),
+            entry_offset=np.array(self.entry_offset, dtype=np.int64, copy=True),
+            offsets=np.array(self.offsets, dtype=np.int64, copy=True),
+        )
 
 
 def edge_sources(csr: CSRBipartiteGraph, side: Side) -> np.ndarray:
@@ -150,11 +157,8 @@ def build_sorted_adjacency(
 ) -> AdjacencyLists:
     """Build one level of sorted adjacency lists from offset arrays.
 
-    Convenience wrapper: :func:`level_side_entries` followed by
-    :func:`assemble_sorted_adjacency`.  Callers that also need the flat
-    :class:`LevelArrays` of the level call the two stages themselves and
-    share the filtered/sorted arrays with :func:`build_level_arrays`, paying
-    for the masking and sorting only once per level.
+    Convenience wrapper for the basic indexes' dict lists:
+    :func:`level_side_entries` followed by :func:`assemble_sorted_adjacency`.
     """
     side_entries = level_side_entries(
         csr,
@@ -260,68 +264,57 @@ def build_level_arrays(
     )
 
 
-def level_dicts_from_arrays(
+def remap_level_arrays(
     arrays: LevelArrays,
-    handles: "Sequence[Vertex]",
-    tau: int,
-    alpha_half: bool,
-) -> Tuple[Dict[Vertex, int], AdjacencyLists]:
-    """Rebuild one level's dict structures from its flat :class:`LevelArrays`.
+    old_to_new: np.ndarray,
+    num_upper: int,
+    num_vertices: int,
+) -> LevelArrays:
+    """Move one level into another global id space (growth, full export).
 
-    The inverse of :func:`level_arrays_from_dicts`, used to reopen a snapshot
-    as a *mutable* index (``DynamicDegeneracyIndex.from_snapshot``) without a
-    from-scratch peel.  ``handles`` maps global ids to :class:`Vertex` handles
-    (``None`` marks a dead id left behind by maintenance removals).  The
-    α-half stores a (possibly empty) list for every (τ,τ)-core member, the
-    β-half only non-empty lists — matching what ``_build_level`` produces.
+    ``old_to_new[g]`` is the new id of old id ``g``, or ``-1`` to drop it; a
+    dropped id must own no entries and appear in none (the dead ids of
+    removed vertices).  New ids nobody maps to start empty with offset 0.
+    An increasing map keeps the entry positions (weight and offset arrays
+    are shared with ``arrays``, which the caller discards); any other map —
+    a removed-then-re-added vertex moves — gathers the slices.
     """
-    offsets: Dict[Vertex, int] = {}
-    lists: AdjacencyLists = {}
+    old_to_new = np.asarray(old_to_new, dtype=np.int64)
+    kept = np.flatnonzero(old_to_new >= 0)
+    new_ids = old_to_new[kept]
     indptr = arrays.indptr
-    entry_vertex = arrays.entry_vertex.tolist()
-    entry_weight = arrays.entry_weight.tolist()
-    entry_offset = arrays.entry_offset.tolist()
-    offset_values = arrays.offsets.tolist()
-    for gid, handle in enumerate(handles):
-        if handle is None:
-            continue
-        offset = int(offset_values[gid])
-        offsets[handle] = offset
-        lo, hi = int(indptr[gid]), int(indptr[gid + 1])
-        if hi > lo:
-            lists[handle] = [
-                (handles[entry_vertex[pos]], entry_weight[pos], entry_offset[pos])
-                for pos in range(lo, hi)
-            ]
-        elif alpha_half and offset >= tau:
-            lists[handle] = []
-    return offsets, lists
-
-
-def entries_to_patch_arrays(
-    updates: Dict[int, list],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten ``{gid: [(nbr_gid, weight, offset), ...]}`` into patch arrays.
-
-    Returns ``(gids, counts, entry_vertex, entry_weight, entry_offset)`` with
-    ``gids`` ascending and the entry arrays concatenated in that order — the
-    wire form shared by in-memory :func:`patch_level_arrays` calls and the
-    snapshot delta segments.
-    """
-    gids = np.array(sorted(updates), dtype=np.int64)
-    counts = np.array([len(updates[int(g)]) for g in gids], dtype=np.int64)
-    total = int(counts.sum())
-    entry_vertex = np.empty(total, dtype=np.int64)
-    entry_weight = np.empty(total, dtype=np.float64)
-    entry_offset = np.empty(total, dtype=np.int64)
-    pos = 0
-    for gid in gids.tolist():
-        for nbr, weight, offset in updates[gid]:
-            entry_vertex[pos] = nbr
-            entry_weight[pos] = weight
-            entry_offset[pos] = offset
-            pos += 1
-    return gids, counts, entry_vertex, entry_weight, entry_offset
+    counts = np.zeros(num_vertices, dtype=np.int64)
+    counts[new_ids] = indptr[kept + 1] - indptr[kept]
+    new_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    total = int(new_indptr[-1])
+    if total != arrays.num_entries:
+        raise ValueError("remap_level_arrays: a dropped id still owns entries")
+    if new_ids.size < 2 or bool(np.all(new_ids[1:] > new_ids[:-1])):
+        entry_vertex = arrays.entry_vertex
+        entry_weight = arrays.entry_weight
+        entry_offset = arrays.entry_offset
+    else:
+        order = np.argsort(new_ids)
+        starts = indptr[kept[order]]
+        run = counts[new_ids[order]]
+        positions = np.repeat(starts - (np.cumsum(run) - run), run) + np.arange(total)
+        entry_vertex = arrays.entry_vertex[positions]
+        entry_weight = arrays.entry_weight[positions]
+        entry_offset = arrays.entry_offset[positions]
+    entry_vertex = old_to_new[entry_vertex]
+    if entry_vertex.size and int(entry_vertex.min()) < 0:
+        raise ValueError("remap_level_arrays: an entry names a dropped id")
+    offsets = np.zeros(num_vertices, dtype=np.int64)
+    offsets[new_ids] = arrays.offsets[kept]
+    return LevelArrays(
+        num_upper=num_upper,
+        indptr=new_indptr,
+        entry_vertex=entry_vertex,
+        entry_weight=entry_weight,
+        entry_offset=entry_offset,
+        offsets=offsets,
+    )
 
 
 def patch_level_arrays(
@@ -337,8 +330,10 @@ def patch_level_arrays(
 ) -> LevelArrays:
     """Splice patched per-vertex entry slices into a :class:`LevelArrays`.
 
-    ``gids``/``counts``/entry arrays come from :func:`entries_to_patch_arrays`;
-    ``offset_gids``/``offset_values`` assign the patched per-vertex offsets
+    ``gids`` (ascending) and ``counts`` give each patched vertex's new slice
+    length, the entry arrays hold the new slices concatenated in ``gids``
+    order — the wire form shared by the maintenance engine and the snapshot
+    delta segments; ``offset_gids``/``offset_values`` assign the patched per-vertex offsets
     (zeros included, so vanished vertices are wiped).  When every patched
     vertex keeps its entry count and the underlying buffers are writable, the
     patch is applied in place (the common case for reweights and small
@@ -346,8 +341,6 @@ def patch_level_arrays(
     unchanged gaps between patched vertices — never touching entries outside
     the patched region.  Snapshot replay passes ``allow_in_place=False``
     because its base segments are read-only memory maps.
-
-    Contract: splice recomputed per-vertex entries and offsets of one level; vertices outside the patched set are untouched.
     """
     gids = np.asarray(gids, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -455,11 +448,10 @@ def level_arrays_from_dicts(
 ) -> LevelArrays:
     """Derive the flat :class:`LevelArrays` of one level from dict structures.
 
-    This is the bridge that lets dict-built indexes — including incrementally
-    maintained ones, whose lists are patched in place — serve the array query
-    path: one O(entries) conversion per level, amortised across a batch of
-    queries.  Vertices absent from ``global_ids`` (stale zero-offset entries
-    left behind by graph shrinkage) are skipped.
+    The paper-literal dict construction of the degeneracy index converts
+    each level once through it (then drops the dicts), and the basic indexes
+    convert their levels lazily on first array-path use: one O(entries)
+    conversion per level.  Vertices absent from ``global_ids`` are skipped.
 
     Contract: the flat LevelArrays of one level, per-vertex entry slices grouped by global id in the index's sorted entry order.
     """

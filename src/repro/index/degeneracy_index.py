@@ -14,21 +14,29 @@ a query with β < α from ``Iβ_δ`` at level β with requirement α.  Only entr
 belonging to the answer are touched, so retrieval is O(size(C_{α,β}(q))) —
 optimal.  Construction follows Algorithm 3 and costs O(δ·m); the index stores
 O(δ·m) entries.
+
+Each (half, τ) level is stored once, as a flat
+:class:`~repro.index.csr_build.LevelArrays` registered on the index's
+:class:`~repro.index.traversal.ArrayQueryPath`: the CSR construction builds
+the arrays directly, the dict construction (the paper-literal oracle)
+converts each level's dicts once and drops them.  Queries, incremental
+maintenance (:mod:`repro.index.maintenance`) and snapshot saves all read and
+write these arrays.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
+if TYPE_CHECKING:
     from repro.index.csr_build import LevelArrays
 
 from repro.decomposition.degeneracy import degeneracy
-from repro.decomposition.offsets import alpha_offsets, beta_offsets, offsets_dict_from_arrays
+from repro.decomposition.offsets import alpha_offsets, beta_offsets
 from repro.exceptions import EmptyCommunityError, InvalidParameterError
-from repro.graph.bipartite import BipartiteGraph, Side, Vertex
+from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.csr import resolve_backend
 from repro.index.base import (
     BatchQuery,
@@ -37,12 +45,7 @@ from repro.index.base import (
     apply_batch_policy,
     gc_paused,
 )
-from repro.index.traversal import (
-    AdjacencyLists,
-    ArrayQueryPath,
-    IndexEntry,
-    bfs_over_lists,
-)
+from repro.index.traversal import AdjacencyLists, ArrayQueryPath, IndexEntry
 from repro.utils.timer import Timer
 from repro.utils.validation import check_query_vertex, check_thresholds
 
@@ -76,10 +79,6 @@ class DegeneracyIndex(CommunityIndex):
         self._backend = resolve_backend(backend, graph)
         self._n_jobs = n_jobs
         self._delta = 0
-        self._alpha_lists: Dict[int, AdjacencyLists] = {}
-        self._beta_lists: Dict[int, AdjacencyLists] = {}
-        self._alpha_offsets: Dict[int, Dict[Vertex, int]] = {}
-        self._beta_offsets: Dict[int, Dict[Vertex, int]] = {}
         self._array_path: Optional[ArrayQueryPath] = None
         self._build_seconds = 0.0
         self._build_extra: Dict[str, float] = {}
@@ -94,6 +93,9 @@ class DegeneracyIndex(CommunityIndex):
                 self._build_csr()
             else:
                 self._delta = degeneracy(self._graph, backend="dict")
+                self._array_path = ArrayQueryPath(
+                    self._graph.upper_labels(), self._graph.lower_labels()
+                )
                 for tau in range(1, self._delta + 1):
                     self._build_level(tau)
         self._build_seconds = timer.elapsed
@@ -101,23 +103,15 @@ class DegeneracyIndex(CommunityIndex):
     def _build_csr(self) -> None:
         """Array-native construction: freeze once, run every level on CSR.
 
-        Each level is materialised twice from the same filtered/sorted edge
-        arrays: as the dict adjacency lists every query and maintenance code
-        path understands, and as the flat :class:`LevelArrays` the array
-        query path consumes — so batch queries never pay a conversion.
-
         The per-level array passes come from
         :func:`~repro.index.parallel_build.compute_level_payloads` (sharded
-        across processes when ``n_jobs > 1``); assembly of the dict/handle
-        structures always happens here, in increasing τ order, so the built
-        index is identical for every worker count.
+        across processes when ``n_jobs > 1``); each payload becomes the two
+        :class:`LevelArrays` of its level here, in increasing τ order, so the
+        built index is identical for every worker count.
         """
         from repro.decomposition.csr_kernels import csr_degeneracy
         from repro.graph.csr import freeze
-        from repro.index.csr_build import (
-            assemble_sorted_adjacency,
-            build_level_arrays,
-        )
+        from repro.index.csr_build import build_level_arrays
         from repro.index.parallel_build import compute_level_payloads
 
         csr = freeze(self._graph)
@@ -125,44 +119,37 @@ class DegeneracyIndex(CommunityIndex):
         payloads, self._build_extra = compute_level_payloads(
             csr, self._delta, self._n_jobs
         )
-        path = ArrayQueryPath(
-            csr.upper_labels, csr.lower_labels, global_ids=csr.global_id_map()
-        )
+        path = ArrayQueryPath(csr.upper_labels, csr.lower_labels)
         for payload in payloads:
             tau = payload.tau
-            sa_u, sa_l = payload.alpha_upper, payload.alpha_lower
-            sb_u, sb_l = payload.beta_upper, payload.beta_lower
-            self._alpha_offsets[tau] = offsets_dict_from_arrays(csr, sa_u, sa_l)
-            self._beta_offsets[tau] = offsets_dict_from_arrays(csr, sb_u, sb_l)
-            member_upper = sa_u >= tau
-            member_lower = sa_l >= tau
-            self._alpha_lists[tau] = assemble_sorted_adjacency(
-                csr, member_upper, member_lower, True, payload.alpha_entries
-            )
-            self._beta_lists[tau] = assemble_sorted_adjacency(
-                csr, member_upper, member_lower, False, payload.beta_entries
-            )
             path.set_level(
                 ("alpha", tau),
-                build_level_arrays(csr, sa_u, sa_l, payload.alpha_entries),
+                build_level_arrays(
+                    csr, payload.alpha_upper, payload.alpha_lower, payload.alpha_entries
+                ),
             )
             path.set_level(
                 ("beta", tau),
-                build_level_arrays(csr, sb_u, sb_l, payload.beta_entries),
+                build_level_arrays(
+                    csr, payload.beta_upper, payload.beta_lower, payload.beta_entries
+                ),
             )
         self._array_path = path
 
     def _build_level(self, tau: int) -> None:
-        """Compute the level-τ adjacency lists of both halves of the index.
+        """Build the level-τ arrays of both halves the paper-literal way.
 
-        Honours the index's resolved backend so an explicit ``backend="dict"``
-        build (or maintenance refresh) never routes through the CSR kernels.
+        Computes the level's offsets and sorted adjacency lists as dicts
+        (Algorithm 3 verbatim), converts them once into the path's id space
+        and drops them.  Honours the index's resolved backend for the offset
+        peel, so an explicit ``backend="dict"`` build (or a maintenance
+        refresh of a dict-built index) never routes through the CSR kernels.
         """
+        from repro.index.csr_build import level_arrays_from_dicts
+
         graph = self._graph
         sa = alpha_offsets(graph, tau, backend=self._backend)
         sb = beta_offsets(graph, tau, backend=self._backend)
-        self._alpha_offsets[tau] = sa
-        self._beta_offsets[tau] = sb
 
         alpha_lists: AdjacencyLists = {}
         beta_lists: AdjacencyLists = {}
@@ -186,8 +173,18 @@ class DegeneracyIndex(CommunityIndex):
             alpha_lists[vertex] = alpha_entries
             if beta_entries:
                 beta_lists[vertex] = beta_entries
-        self._alpha_lists[tau] = alpha_lists
-        self._beta_lists[tau] = beta_lists
+        path = self._array_path
+        ids = path.global_id_map()
+        for half, offsets, lists in (
+            ("alpha", sa, alpha_lists),
+            ("beta", sb, beta_lists),
+        ):
+            path.set_level(
+                (half, tau),
+                level_arrays_from_dicts(
+                    offsets, lists, ids, path.num_upper, path.num_vertices
+                ),
+            )
 
     # ------------------------------------------------------------------ #
     # querying (Qopt)
@@ -202,49 +199,27 @@ class DegeneracyIndex(CommunityIndex):
         """The resolved construction backend (``"dict"`` or ``"csr"``)."""
         return self._backend
 
-    @property
-    def native_array_levels(self) -> bool:
-        """True when the flat level arrays already exist (CSR construction).
-
-        Per-query entry points use this to decide whether the array-native
-        step 2 is free to reach for: a dict-built index would pay a
-        whole-level conversion for a single query, so only batch streams
-        (which amortise the conversion) route it through the array path.
-        """
-        return self._array_path is not None
-
-    def _route(self, alpha: int, beta: int) -> Tuple[Dict[Vertex, int], AdjacencyLists, int]:
-        """Choose the index half, level and offset requirement for a query."""
+    @staticmethod
+    def _level_key(alpha: int, beta: int) -> Tuple[Tuple[str, int], int]:
+        """The index half/level answering ``(α, β)`` and its requirement."""
         if alpha <= beta:
-            return self._alpha_offsets[alpha], self._alpha_lists[alpha], beta
-        return self._beta_offsets[beta], self._beta_lists[beta], alpha
+            return ("alpha", alpha), beta
+        return ("beta", beta), alpha
 
     def contains(self, vertex: Vertex, alpha: int, beta: int) -> bool:
         """True when ``vertex`` belongs to the (α,β)-core."""
         check_thresholds(alpha, beta)
         if min(alpha, beta) > self._delta:
             return False
-        offsets, _, requirement = self._route(alpha, beta)
-        return offsets.get(vertex, 0) >= requirement
+        key, requirement = self._level_key(alpha, beta)
+        return self.query_path().offset_of(key, vertex) >= requirement
 
     def community(self, query: Vertex, alpha: int, beta: int) -> BipartiteGraph:
         """``Qopt``: optimal retrieval of ``C_{α,β}(query)``."""
-        check_thresholds(alpha, beta)
-        check_query_vertex(self._graph, query)
-        if min(alpha, beta) > self._delta:
-            raise EmptyCommunityError(query, alpha, beta)
-        offsets, lists, requirement = self._route(alpha, beta)
-        if offsets.get(query, 0) < requirement:
-            raise EmptyCommunityError(query, alpha, beta)
-        return bfs_over_lists(
-            lists,
-            query,
-            requirement,
-            name=f"C({alpha},{beta})[{query.label!r}]",
-        )
+        return self._array_community(self.query_path(), query, alpha, beta)
 
     # ------------------------------------------------------------------ #
-    # array-backed query path (batch Qopt)
+    # batch Qopt
     # ------------------------------------------------------------------ #
     def _array_community(
         self,
@@ -254,7 +229,7 @@ class DegeneracyIndex(CommunityIndex):
         beta: int,
         cache: Optional[Dict] = None,
     ) -> BipartiteGraph:
-        """``Qopt`` over the flat level arrays; same answers as dict lists."""
+        """``Qopt`` over the flat level arrays."""
         key, requirement = self._route_array(path, query, alpha, beta)
         return path.community(
             key,
@@ -269,14 +244,13 @@ class DegeneracyIndex(CommunityIndex):
         queries: Iterable[BatchQuery],
         on_empty: str = "raise",
     ) -> List[Optional[BipartiteGraph]]:
-        """Answer many ``(query, alpha, beta)`` triples through the array path.
+        """Answer many ``(query, alpha, beta)`` triples over the level arrays.
 
-        The index is frozen into flat per-level arrays at most once for the
-        whole stream (natively for CSR-built indexes, lazily per touched
-        level otherwise) and every retrieval reuses the same visited scratch,
-        so per-query cost is the vectorised BFS plus the answer allocation.
-        Results are element-wise identical to per-query :meth:`community`
-        calls; see :meth:`CommunityIndex.batch_community` for ``on_empty``.
+        Every retrieval reuses the path's visited scratch and a per-batch
+        component memo, so per-query cost is the vectorised BFS plus the
+        answer allocation.  Results are element-wise identical to per-query
+        :meth:`community` calls; see :meth:`CommunityIndex.batch_community`
+        for ``on_empty``.
         """
         path = self.query_path()
         cache: Dict = {}
@@ -291,21 +265,17 @@ class DegeneracyIndex(CommunityIndex):
     def _route_array(
         self, path: ArrayQueryPath, query: Vertex, alpha: int, beta: int
     ) -> Tuple[Tuple[str, int], int]:
-        """Validate an array-path query and resolve its level key/requirement.
+        """Validate a query and resolve its level key and offset requirement.
 
-        Shares the exact raise behaviour of :meth:`community`; converts the
-        touched level from its dict lists on first use.
+        Raises :class:`EmptyCommunityError` when ``query`` is outside the
+        (α,β)-core and the usual validation errors for bad thresholds or an
+        unknown query vertex.
         """
         check_thresholds(alpha, beta)
         check_query_vertex(self._graph, query)
         if min(alpha, beta) > self._delta:
             raise EmptyCommunityError(query, alpha, beta)
-        if alpha <= beta:
-            key, requirement = ("alpha", alpha), beta
-            path.ensure_level(key, self._alpha_offsets[alpha], self._alpha_lists[alpha])
-        else:
-            key, requirement = ("beta", beta), alpha
-            path.ensure_level(key, self._beta_offsets[beta], self._beta_lists[beta])
+        key, requirement = self._level_key(alpha, beta)
         if path.offset_of(key, query) < requirement:
             raise EmptyCommunityError(query, alpha, beta)
         return key, requirement
@@ -360,46 +330,52 @@ class DegeneracyIndex(CommunityIndex):
     def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
         """All flat level arrays of both halves, keyed ``("alpha"|"beta", τ)``.
 
-        The snapshot store (:mod:`repro.serving.snapshot`) persists exactly
-        these structures.  Levels the array query path has not touched yet are
-        converted from their dict lists on the spot, so the export works for
-        every construction backend — and for incrementally maintained indexes,
-        whose array path is rebuilt lazily from the patched lists.
+        The levels come out in the id space of ``freeze(self.graph)``, which
+        is what the snapshot store (:mod:`repro.serving.snapshot`) persists.
+        A maintained index whose id space carries removed or re-added
+        vertices is re-keyed to the graph's current vertex order first and
+        keeps the re-keyed levels, so after a full snapshot save its ids are
+        the snapshot's.
         """
-        path = self.query_path()
-        keys = []
-        for tau in range(1, self._delta + 1):
-            alpha_key, beta_key = ("alpha", tau), ("beta", tau)
-            path.ensure_level(alpha_key, self._alpha_offsets[tau], self._alpha_lists[tau])
-            path.ensure_level(beta_key, self._beta_offsets[tau], self._beta_lists[tau])
-            keys.extend((alpha_key, beta_key))
-        return {key: path.level(key) for key in keys}
+        path = self.query_path().rekeyed(
+            self._graph.upper_labels(), self._graph.lower_labels()
+        )
+        self._array_path = path
+        return {
+            (half, tau): path.level((half, tau))
+            for tau in range(1, self._delta + 1)
+            for half in ("alpha", "beta")
+        }
 
     def vertices_in_core(self, alpha: int, beta: int) -> List[Vertex]:
-        """All vertices of the (α,β)-core (useful for sampling benchmark queries)."""
+        """All vertices of the (α,β)-core, in global id order (upper first)."""
         check_thresholds(alpha, beta)
         if min(alpha, beta) > self._delta:
             return []
-        offsets, _, requirement = self._route(alpha, beta)
-        return [vertex for vertex, offset in offsets.items() if offset >= requirement]
+        key, requirement = self._level_key(alpha, beta)
+        path = self.query_path()
+        offsets = path.level(key).offsets
+        return path.vertices(np.flatnonzero(offsets >= requirement).tolist())
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:
-        entries = sum(
-            len(entry_list)
-            for level in self._alpha_lists.values()
-            for entry_list in level.values()
-        ) + sum(
-            len(entry_list)
-            for level in self._beta_lists.values()
-            for entry_list in level.values()
-        )
-        lists = sum(len(level) for level in self._alpha_lists.values()) + sum(
-            len(level) for level in self._beta_lists.values()
-        )
+        """Entry and list counts read off the level arrays.
+
+        The α-half keeps a (possibly empty) list for every (τ,τ)-core member,
+        the β-half only non-empty lists — the paper's ``I_δ`` list count.
+        """
+        entries = 0
+        lists = 0
+        path = self.query_path()
+        for half, tau in path.level_keys():
+            level = path.level((half, tau))
+            entries += level.num_entries
+            if half == "alpha":
+                lists += int(np.count_nonzero(level.offsets >= tau))
+            else:
+                lists += int(np.count_nonzero(np.diff(level.indptr)))
         extra = {"delta": float(self._delta)}
-        # Old pickled indexes predate the build metrics; default them away.
-        extra.update(getattr(self, "_build_extra", {}))
+        extra.update(self._build_extra)
         return IndexStats(
             name="Idelta",
             entries=entries,

@@ -34,12 +34,14 @@ that outline as three cooperating pieces:
 **Patch applier**
     Level results are applied change-driven: only vertices whose offsets
     moved, their neighbours (whose sorted entries embed those offsets) and
-    the edge's endpoints get their adjacency lists rebuilt — in the dict
-    stores *and*, via :func:`~repro.index.csr_build.patch_level_arrays`,
-    in any materialised :class:`~repro.index.csr_build.LevelArrays` of the
-    array query path, so a maintained index keeps answering batch queries on
-    the fast array path instead of invalidating it on every update.  Every
-    patch is also recorded in a :class:`MaintenanceJournal` so
+    the edge's endpoints get their entry slices rebuilt, directly in global
+    id space, and spliced into the level's
+    :class:`~repro.index.csr_build.LevelArrays` by
+    :func:`~repro.index.csr_build.patch_level_arrays` — the one store of
+    the level, so every query path sees the update at once.  A never-seen
+    vertex grows the id space in place
+    (:meth:`~repro.index.traversal.ArrayQueryPath.add_vertex`).  Every patch
+    is also recorded in a :class:`MaintenanceJournal` so
     ``save_index(format="snapshot")`` can persist just the delta next to an
     existing base snapshot (:mod:`repro.serving.snapshot`).
 
@@ -60,7 +62,6 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
     from repro.index.csr_build import LevelArrays
-    from repro.index.traversal import AdjacencyLists
     from repro.serving.snapshot import SnapshotIndex
 
 from repro.decomposition.abcore import abcore_vertices
@@ -69,6 +70,7 @@ from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.views import induced_subgraph
 from repro.index.base import IndexStats
 from repro.index.degeneracy_index import DegeneracyIndex
+from repro.index.traversal import ArrayQueryPath
 from repro.utils.timer import Timer
 
 __all__ = [
@@ -87,12 +89,43 @@ DEFAULT_REGION_BUDGET = 4096
 _REGION_CSR_THRESHOLD = 32
 
 
+class _OffsetView:
+    """Read-only access to one level's old offsets, by vertex or by gid.
+
+    The region planner and peels read old offsets through it, with no
+    per-update dict copy of the level.  It captures the offsets array as it
+    is when created, so it must be read before the level is patched.
+    """
+
+    __slots__ = ("_offsets", "_path")
+
+    def __init__(self, path: "ArrayQueryPath", key: Tuple[str, int]) -> None:
+        self._offsets = path.level(key).offsets
+        self._path = path
+
+    def get(self, vertex: Vertex, default: int = 0) -> int:
+        gid = self._path.global_id(vertex)
+        if gid is None:
+            return default
+        return int(self._offsets[gid])
+
+    def gid(self, vertex: Vertex) -> Optional[int]:
+        return self._path.global_id(vertex)
+
+    def gids(self, side: Side, labels: Iterable[Hashable]) -> List[int]:
+        return self._path.global_ids(side, labels)
+
+    def values(self, gids: List[int]) -> np.ndarray:
+        """The offsets of ``gids`` as one array."""
+        return self._offsets[np.asarray(gids, dtype=np.int64)]
+
+
 # --------------------------------------------------------------------------- #
 # region planning — the S⁺ / S⁻ candidate closure
 # --------------------------------------------------------------------------- #
 def plan_level_region(
     graph: BipartiteGraph,
-    old_offsets: Dict[Vertex, int],
+    old_offsets: "_OffsetView",
     primary_side: Side,
     threshold: int,
     seeds: Sequence[Vertex],
@@ -127,62 +160,66 @@ def plan_level_region(
     Vertices outside the returned set provably keep their offsets, so
     peeling the candidates with external support frozen at the old offsets
     is exact.  Returns ``None`` when the closure exceeds ``budget`` — the
-    caller then re-peels the level in full.
+    caller then re-peels the level in full.  ``old_offsets`` reads the
+    level's old offsets by vertex or, a whole neighbourhood at once, by
+    global id.
     """
-    endpoint_set = set(seeds)
-    candidates: Set[Vertex] = set(endpoint_set)
-    ordered: List[Vertex] = list(candidates)
+    endpoint_gids = {old_offsets.gid(vertex) for vertex in seeds}
+    endpoint_on = {vertex.side: vertex for vertex in seeds}
+    candidates: Set[int] = set(endpoint_gids)
+    ordered: List[Vertex] = list(seeds)
     queue: deque[Vertex] = deque(ordered)
-    rejected: Set[Vertex] = set()
-    slack: Dict[Vertex, int] = {}
-    pressure: Dict[Vertex, int] = {}
+    rejected: Set[int] = set()
+    slack: Dict[int, int] = {}
+    pressure: Dict[int, int] = {}
     while queue:
         candidate = queue.popleft()
         offset_c = old_offsets.get(candidate, 0)
-        is_endpoint = candidate in endpoint_set
-        other = candidate.side.other
-        for nbr_label in graph.neighbors(candidate.side, candidate.label):
-            vertex = Vertex(other, nbr_label)
-            if vertex in candidates or vertex in rejected:
+        is_endpoint = old_offsets.gid(candidate) in endpoint_gids
+        side = candidate.side
+        other = side.other
+        labels = list(graph.neighbors(side, candidate.label))
+        gids = old_offsets.gids(other, labels)
+        for label, gid, offset_x in zip(labels, gids, old_offsets.values(gids).tolist()):
+            if gid in candidates or gid in rejected:
                 continue
-            offset_x = old_offsets.get(vertex, 0)
             if removal:
                 if offset_x < 1:
                     continue  # already at the floor
                 crossed = offset_c >= offset_x if is_endpoint else offset_c == offset_x
                 if not crossed:
                     continue
-                if vertex not in slack:
-                    need = threshold if vertex.side is primary_side else offset_x
-                    mirror = vertex.side.other
-                    lookup = old_offsets.get
-                    support = 0
-                    for m_label in graph.neighbors(vertex.side, vertex.label):
-                        if lookup(Vertex(mirror, m_label), 0) >= offset_x:
-                            support += 1
-                    slack[vertex] = support - need
-                    pressure[vertex] = 0
-                pressure[vertex] += 1
-                if pressure[vertex] <= slack[vertex]:
+                if gid not in slack:
+                    need = threshold if other is primary_side else offset_x
+                    mirror = old_offsets.values(
+                        old_offsets.gids(side, graph.neighbors(other, label))
+                    )
+                    slack[gid] = int(np.count_nonzero(mirror >= offset_x)) - need
+                    pressure[gid] = 0
+                pressure[gid] += 1
+                if pressure[gid] <= slack[gid]:
                     continue
             else:
                 helps = offset_c <= offset_x if is_endpoint else offset_c == offset_x
                 if not helps:
                     continue
-                need = threshold if vertex.side is primary_side else offset_x + 1
-                mirror = vertex.side.other
-                lookup = old_offsets.get
-                support = 0
-                for m_label in graph.neighbors(vertex.side, vertex.label):
-                    m = Vertex(mirror, m_label)
-                    if m in endpoint_set or lookup(m, 0) >= offset_x:
-                        support += 1
-                        if support >= need:
-                            break
+                need = threshold if other is primary_side else offset_x + 1
+                nbrs = graph.neighbors(other, label)
+                mirror = old_offsets.values(old_offsets.gids(side, nbrs))
+                support = int(np.count_nonzero(mirror >= offset_x))
+                # An endpoint neighbour supports regardless of its old offset.
+                endpoint = endpoint_on.get(side)
+                if (
+                    endpoint is not None
+                    and endpoint.label in nbrs
+                    and old_offsets.get(endpoint, 0) < offset_x
+                ):
+                    support += 1
                 if support < need:
-                    rejected.add(vertex)
+                    rejected.add(gid)
                     continue
-            candidates.add(vertex)
+            candidates.add(gid)
+            vertex = Vertex(other, label)
             ordered.append(vertex)
             queue.append(vertex)
             if budget is not None and len(candidates) > budget:
@@ -194,17 +231,22 @@ class _RegionPeel:
     """One candidate region's peel context: adjacency split internal/external.
 
     The CSR variant freezes the region into a private sub-CSR (unweighted —
-    the peel never looks at weights) and runs the vectorised region kernel;
-    tiny regions stay on the python peel, whose constant factors win below
+    the peel never looks at weights) and runs the vectorised region kernel,
+    reading the frozen external offsets with one gather per side; tiny
+    regions stay on the python peel, whose constant factors win below
     :data:`_REGION_CSR_THRESHOLD` vertices.
     """
 
     def __init__(
         self, graph: BipartiteGraph, vertices: Sequence[Vertex], backend: str
     ) -> None:
-        region = set(vertices)
-        self._internal: Dict[Vertex, Tuple[Vertex, ...]] = {}
+        self._internal: Optional[Dict[Vertex, Tuple[Vertex, ...]]] = None
         self._external: Dict[Vertex, Tuple[Vertex, ...]] = {}
+        if backend == "csr" and len(vertices) >= _REGION_CSR_THRESHOLD:
+            self._freeze_region(graph, vertices)
+            return
+        region = set(vertices)
+        self._internal = {}
         for vertex in vertices:
             other = vertex.side.other
             internal: List[Vertex] = []
@@ -215,61 +257,47 @@ class _RegionPeel:
             self._internal[vertex] = tuple(internal)
             if external:
                 self._external[vertex] = tuple(external)
-        self._csr = None
-        self._ext_arrays = None
-        if backend == "csr" and len(region) >= _REGION_CSR_THRESHOLD:
-            self._freeze_region()
 
-    def _freeze_region(self) -> None:
+    def _freeze_region(self, graph: BipartiteGraph, vertices: Sequence[Vertex]) -> None:
         from repro.graph.csr import CSRBipartiteGraph
 
-        uppers = [v for v in self._internal if v.side is Side.UPPER]
-        lowers = [v for v in self._internal if v.side is Side.LOWER]
-        upper_ids = {v: i for i, v in enumerate(uppers)}
-        lower_ids = {v: i for i, v in enumerate(lowers)}
-
-        def layer(
-            vertices: List[Vertex], other_ids: Dict[Vertex, int]
-        ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-            indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
+        uppers = [v.label for v in vertices if v.side is Side.UPPER]
+        lowers = [v.label for v in vertices if v.side is Side.LOWER]
+        local = {
+            Side.UPPER: {label: i for i, label in enumerate(uppers)},
+            Side.LOWER: {label: i for i, label in enumerate(lowers)},
+        }
+        # Per side: the sub-CSR layer plus, for every edge leaving the region,
+        # its owner's local id and the outside neighbour's label.
+        layers = {}
+        external = {}
+        for side, labels in ((Side.UPPER, uppers), (Side.LOWER, lowers)):
+            other_ids = local[side.other]
+            indptr = np.zeros(len(labels) + 1, dtype=np.int64)
             indices: List[int] = []
-            for i, vertex in enumerate(vertices):
-                indices.extend(
-                    other_ids[nbr] for nbr in self._internal[vertex]
-                )
+            owners: List[int] = []
+            outside: List[Hashable] = []
+            for i, label in enumerate(labels):
+                for nbr_label in graph.neighbors(side, label):
+                    j = other_ids.get(nbr_label)
+                    if j is None:
+                        owners.append(i)
+                        outside.append(nbr_label)
+                    else:
+                        indices.append(j)
                 indptr[i + 1] = len(indices)
             idx = np.array(indices, dtype=np.int64)
-            return indptr, idx, np.zeros(idx.shape[0], dtype=np.float64)
-
+            layers[side] = (indptr, idx, np.zeros(idx.shape[0], dtype=np.float64))
+            external[side] = (np.array(owners, dtype=np.int64), outside)
         self._csr = CSRBipartiteGraph(
-            "region",
-            [v.label for v in uppers],
-            [v.label for v in lowers],
-            *layer(uppers, lower_ids),
-            *layer(lowers, upper_ids),
+            "region", uppers, lowers, *layers[Side.UPPER], *layers[Side.LOWER]
         )
         self._uppers, self._lowers = uppers, lowers
-        owner_u: List[int] = []
-        handles_u: List[Vertex] = []
-        owner_l: List[int] = []
-        handles_l: List[Vertex] = []
-        for vertex, external in self._external.items():
-            if vertex.side is Side.UPPER:
-                owner, handles, i = owner_u, handles_u, upper_ids[vertex]
-            else:
-                owner, handles, i = owner_l, handles_l, lower_ids[vertex]
-            owner.extend([i] * len(external))
-            handles.extend(external)
-        self._ext_arrays = (
-            np.array(owner_u, dtype=np.int64),
-            handles_u,
-            np.array(owner_l, dtype=np.int64),
-            handles_l,
-        )
+        self._ext_arrays = external
 
     def offsets(
         self,
-        old_offsets: Dict[Vertex, int],
+        old_offsets: "_OffsetView",
         primary_side: Side,
         threshold: int,
         shift: int = 0,
@@ -284,23 +312,27 @@ class _RegionPeel:
         optimum for an insertion, turning the peel into an upper bound used
         by the endpoint pre-screen.
         """
-        if self._csr is not None:
+        if self._internal is None:
             from repro.decomposition.csr_kernels import (
                 csr_region_offsets_fixed_primary,
             )
 
-            owner_u, handles_u, owner_l, handles_l = self._ext_arrays
+            frozen = []
+            for side in (Side.UPPER, Side.LOWER):
+                owners, outside = self._ext_arrays[side]
+                values = old_offsets.values(old_offsets.gids(side.other, outside))
+                frozen.extend((owners, np.maximum(values + shift, 0)))
             off_u, off_l = csr_region_offsets_fixed_primary(
-                self._csr,
-                owner_u,
-                [max(old_offsets.get(h, 0) + shift, 0) for h in handles_u],
-                owner_l,
-                [max(old_offsets.get(h, 0) + shift, 0) for h in handles_l],
-                primary_side,
-                threshold,
+                self._csr, *frozen, primary_side, threshold
             )
-            result = dict(zip(self._uppers, off_u.tolist()))
-            result.update(zip(self._lowers, off_l.tolist()))
+            result = {
+                Vertex(Side.UPPER, label): offset
+                for label, offset in zip(self._uppers, off_u.tolist())
+            }
+            result.update(
+                (Vertex(Side.LOWER, label), offset)
+                for label, offset in zip(self._lowers, off_l.tolist())
+            )
             return result
         external = {
             vertex: [max(old_offsets.get(nbr, 0) + shift, 0) for nbr in ext]
@@ -318,20 +350,23 @@ class _RegionPeel:
 class MaintenanceJournal:
     """What changed since the index was last persisted as a snapshot.
 
-    The journal stores no entry data — the dict stores are always current —
-    only *which* vertices of which levels are dirty, the applied graph
+    The journal stores no entry data — the level arrays are always current —
+    only *which* global ids of which levels are dirty, the applied graph
     operations, and the net set of vertices the updates removed.  Encoding a
-    delta then reads the live stores for exactly the dirty vertices.  A base
+    delta then slices exactly the dirty ids out of the live arrays.  A base
     binding (directory, snapshot id, global-id map of the base's label order)
     is attached when the index is saved to / loaded from a snapshot;
-    ``compatible`` turns False once an update introduces a vertex the base id
-    space has never seen, at which point the next save rewrites a full
-    snapshot instead of appending a delta.
+    ``path_is_base`` records whether the index's id space *is* the base's
+    (true after a full save or a snapshot load; false after a compaction
+    re-bound the journal to a re-keyed base).  ``compatible`` turns False
+    once an update introduces a vertex the base id space has never seen, at
+    which point the next save rewrites a full snapshot instead of appending
+    a delta.
     """
 
     ops: List[Tuple[str, Hashable, Hashable, float]] = field(default_factory=list)
     removed: Set[Vertex] = field(default_factory=set)
-    dirty: Dict[Tuple[str, int], Set[Vertex]] = field(default_factory=dict)
+    dirty: Dict[Tuple[str, int], Set[int]] = field(default_factory=dict)
     full_levels: Set[Tuple[str, int]] = field(default_factory=set)
     base_directory: Optional[str] = None
     base_id: Optional[str] = None
@@ -340,6 +375,7 @@ class MaintenanceJournal:
     base_num_upper: int = 0
     base_num_vertices: int = 0
     base_global_ids: Optional[Dict[Vertex, int]] = None
+    path_is_base: bool = True
     compatible: bool = True
 
     @property
@@ -362,10 +398,10 @@ class MaintenanceJournal:
         if self.base_global_ids is not None and vertex not in self.base_global_ids:
             self.compatible = False
 
-    def mark_dirty(self, key: Tuple[str, int], vertices: Iterable[Vertex]) -> None:
+    def mark_dirty(self, key: Tuple[str, int], gids: Iterable[int]) -> None:
         if key in self.full_levels:
             return
-        self.dirty.setdefault(key, set()).update(vertices)
+        self.dirty.setdefault(key, set()).update(gids)
 
     def mark_full(self, key: Tuple[str, int]) -> None:
         self.full_levels.add(key)
@@ -380,6 +416,7 @@ class MaintenanceJournal:
         num_upper: int,
         num_vertices: int,
         global_ids: Dict[Vertex, int],
+        path_is_base: bool = True,
     ) -> None:
         """Attach the journal to a persisted base and clear pending changes."""
         self.ops = []
@@ -393,6 +430,7 @@ class MaintenanceJournal:
         self.base_num_upper = num_upper
         self.base_num_vertices = num_vertices
         self.base_global_ids = global_ids
+        self.path_is_base = path_is_base
         self.compatible = True
 
     def advance(self, sequence: int, delta: int) -> None:
@@ -411,6 +449,34 @@ class MaintenanceJournal:
             and self.base_global_ids is not None
             and self.compatible
         )
+
+
+def _sorted_slices(
+    owner: np.ndarray,
+    neighbour: np.ndarray,
+    weight: np.ndarray,
+    offsets: np.ndarray,
+    tau: int,
+    strict: bool,
+    num_owners: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One half's rebuilt slices: ``(counts, entry vertex, weight, offset)``.
+
+    Candidate entries come in adjacency order per owner position; those whose
+    neighbour offset is ``>= tau`` (``> tau`` when ``strict``) are kept and
+    stably sorted by decreasing offset — the full construction's order.
+    """
+    entry_offset = offsets[neighbour]
+    keep = entry_offset > tau if strict else entry_offset >= tau
+    owner = owner[keep]
+    entry_offset = entry_offset[keep]
+    order = np.lexsort((-entry_offset, owner))
+    return (
+        np.bincount(owner, minlength=num_owners).astype(np.int64, copy=False),
+        neighbour[keep][order],
+        weight[keep][order],
+        entry_offset[order],
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -436,7 +502,7 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     ) -> None:
         # Index a private copy so external mutation of the original graph
         # cannot silently desynchronise the index.  Either construction
-        # backend works: both produce the same dict structures this class
+        # backend works: both produce the same level arrays this class
         # patches during maintenance.
         super().__init__(graph.copy(), backend=backend, n_jobs=n_jobs)
         self._region_budget = region_budget
@@ -454,14 +520,12 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             for vertex in self._graph.vertices()
             if self._graph.degree_of(vertex) == 0
         ]
+        path = self.query_path()
         self._core_sizes: Dict[int, int] = {
-            tau: sum(1 for offset in offsets.values() if offset >= tau)
-            for tau, offsets in self._alpha_offsets.items()
+            tau: int(np.count_nonzero(path.level(("alpha", tau)).offsets >= tau))
+            for tau in range(1, self._delta + 1)
         }
         self._journal = MaintenanceJournal()
-        # True while the array path's id space enumerates exactly the graph's
-        # current vertices (required before a full snapshot export).
-        self._path_matches_graph = True
         # observability
         self._levels_patched = 0
         self._levels_rebuilt = 0
@@ -471,9 +535,6 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         self._regions_peeled = 0
         self._reweight_updates = 0
         self._region_vertices_total = 0
-        self._arrays_patched = 0
-        self._arrays_invalidated = 0
-        self._arrays_dropped = 0
         self._compactions = 0
         self._deltas_folded = 0
 
@@ -483,15 +544,15 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     ) -> "DynamicDegeneracyIndex":
         """Reopen a persisted snapshot as a mutable, maintainable index.
 
-        The dict stores are reconstructed from the snapshot's flat level
-        arrays (one linear pass per level — no from-scratch peel), and the
-        journal is bound to the snapshot's directory so the next
+        The snapshot's (delta-replayed) level arrays are copied into owned,
+        writable arrays in the snapshot's id space — no from-scratch peel —
+        and the journal is bound to the snapshot's directory so the next
         ``save_index(..., format="snapshot")`` to the same directory appends
-        a delta instead of rewriting the base.  ``max_chain_len`` installs
-        the auto-compaction policy, as in the constructor.
+        a delta instead of rewriting the base.  Ids of vertices the deltas
+        removed stay in the id space with empty slices.  ``max_chain_len``
+        installs the auto-compaction policy, as in the constructor.
         """
         from repro.graph.csr import resolve_backend
-        from repro.index.csr_build import level_dicts_from_arrays
 
         graph = snapshot.graph.copy()
         self = cls.__new__(cls)
@@ -503,39 +564,22 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         self._backend = resolve_backend("auto", graph)
         self._n_jobs = 1
         self._delta = snapshot.delta
-        self._alpha_lists = {}
-        self._beta_lists = {}
-        self._alpha_offsets = {}
-        self._beta_offsets = {}
-        self._array_path = None
         self._build_seconds = 0.0
         self._build_extra = {}
-        handles = snapshot.global_handles()
-        alive = [
-            handle
-            if handle is not None and graph.has_vertex(handle.side, handle.label)
-            else None
-            for handle in handles
-        ]
-        for (half, tau), arrays in snapshot.level_arrays().items():
-            offsets, lists = level_dicts_from_arrays(
-                arrays, alive, tau, alpha_half=(half == "alpha")
-            )
-            if half == "alpha":
-                self._alpha_offsets[tau] = offsets
-                self._alpha_lists[tau] = lists
-            else:
-                self._beta_offsets[tau] = offsets
-                self._beta_lists[tau] = lists
+        upper_labels, lower_labels = snapshot.query_path().label_arrays()
+        path = ArrayQueryPath(upper_labels.tolist(), lower_labels.tolist())
+        for key, arrays in snapshot.level_arrays().items():
+            path.set_level(key, arrays.copy())
+        self._array_path = path
         self._finish_init()
         self._journal.bind_base(
             str(snapshot.directory),
             snapshot.snapshot_id,
             snapshot.version,
             snapshot.delta,
-            snapshot.num_upper,
-            len(handles),
-            {handle: gid for gid, handle in enumerate(handles)},
+            path.num_upper,
+            path.num_vertices,
+            path.global_id_map(),
         )
         return self
 
@@ -550,12 +594,14 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             reweight = self._graph.has_edge(upper_label, lower_label)
             self._graph.add_edge(upper_label, lower_label, weight)
             self._journal.record_insert(upper_label, lower_label, weight)
+            path = self.query_path()
             for vertex in (
                 Vertex(Side.UPPER, upper_label),
                 Vertex(Side.LOWER, lower_label),
             ):
                 self._journal.note_vertex(vertex)
-                self._note_vertex_for_arrays(vertex)
+                if not path.has_vertex(vertex):
+                    path.add_vertex(vertex)
             if reweight:
                 # Offsets depend only on the structure: a pure re-weight
                 # touches nothing but the two mirrored entry weights per level.
@@ -585,34 +631,18 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     def region_budget(self) -> int:
         return self._region_budget
 
-    # ------------------------------------------------------------------ #
-    # array-path bookkeeping
-    # ------------------------------------------------------------------ #
-    def _note_vertex_for_arrays(self, vertex: Vertex) -> None:
-        """Drop the array path when a never-seen vertex enters the graph.
-
-        A vertex that vanished earlier and comes back reuses its old global
-        id (labels are interned for the path's lifetime), so only genuinely
-        new labels force a rebuild of the id space.
-        """
-        path = self._array_path
-        if path is not None and not path.has_vertex(vertex):
-            self._array_path = None
-            self._path_matches_graph = True
-            self._arrays_invalidated += 1
-
     def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
         """See :meth:`DegeneracyIndex.export_level_arrays`.
 
-        A maintained index may carry dead ids in its array path (vertices
-        removed since the path was built); a full snapshot export needs the
-        id space to match the graph exactly, so the path is rebuilt first
-        when they diverged.
+        When the export re-keys the id space, the journal's dirty ids and the
+        bound base's ids no longer agree, so the next save is a full rewrite
+        (which re-binds the journal to the exported ids).
         """
-        if not self._path_matches_graph:
-            self._array_path = None
-            self._path_matches_graph = True
-        return super().export_level_arrays()
+        path = self._array_path
+        levels = super().export_level_arrays()
+        if self._array_path is not path:
+            self._journal.compatible = False
+        return levels
 
     # ------------------------------------------------------------------ #
     # vanished-vertex bookkeeping (unchanged semantics from the component era)
@@ -642,46 +672,34 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         )
 
     def _purge_vertices(self, vertices: Tuple[Vertex, ...]) -> None:
-        """Drop every index entry owned by ``vertices`` and patch the arrays."""
+        """Empty every slice and offset owned by ``vertices`` at every level.
+
+        The ids stay in the id space (a returning vertex reuses its id); a
+        full snapshot export drops them.
+        """
         if not vertices:
             return
         self._journal.record_removed_vertices(vertices)
-        for tau, offsets in self._alpha_offsets.items():
-            for vertex in vertices:
-                if offsets.get(vertex, 0) >= tau:
-                    self._core_sizes[tau] = self._core_sizes.get(tau, 0) - 1
-        for stores in (
-            self._alpha_offsets,
-            self._beta_offsets,
-            self._alpha_lists,
-            self._beta_lists,
-        ):
-            for level in stores.values():
-                for vertex in vertices:
-                    level.pop(vertex, None)
-        for tau in self._alpha_offsets:
-            for half in ("alpha", "beta"):
-                self._journal.mark_dirty((half, tau), vertices)
-        path = self._array_path
-        if path is None:
-            return
-        self._path_matches_graph = False
-        wiped = [
-            gid for gid in (path.global_id(v) for v in vertices) if gid is not None
-        ]
-        if not wiped:
-            return
-        from repro.index.csr_build import entries_to_patch_arrays, patch_level_arrays
+        from repro.index.csr_build import patch_level_arrays
 
-        gids, counts, ev, ew, eo = entries_to_patch_arrays({g: [] for g in wiped})
+        path = self._array_path
+        gids = np.array(sorted(path.global_id(v) for v in vertices), dtype=np.int64)
         zeros = np.zeros(gids.shape[0], dtype=np.int64)
+        no_ids = np.empty(0, dtype=np.int64)
+        no_weights = np.empty(0, dtype=np.float64)
         for key in path.level_keys():
+            half, tau = key
+            level = path.level(key)
+            if half == "alpha":
+                lost = int(np.count_nonzero(level.offsets[gids] >= tau))
+                self._core_sizes[tau] = self._core_sizes.get(tau, 0) - lost
             path.set_level(
                 key,
                 patch_level_arrays(
-                    path.level(key), gids, counts, ev, ew, eo, gids, zeros
+                    level, gids, zeros, no_ids, no_weights, no_ids, gids, zeros
                 ),
             )
+            self._journal.mark_dirty(key, gids.tolist())
 
     # ------------------------------------------------------------------ #
     # the update pipeline
@@ -700,16 +718,15 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         the handful the edge actually touches.  Must run *before* the purge
         (a vanished endpoint's old offsets are part of the evidence).
         """
-        u = Vertex(Side.UPPER, upper_label)
-        v = Vertex(Side.LOWER, lower_label)
         affected: List[int] = []
         if removal:
+            path = self._array_path
+            gu = path.global_id(Vertex(Side.UPPER, upper_label))
+            gv = path.global_id(Vertex(Side.LOWER, lower_label))
             for tau in range(1, self._delta + 1):
-                sa = self._alpha_offsets.get(tau, {})
-                sb = self._beta_offsets.get(tau, {})
-                if (sa.get(u, 0) >= 1 and sa.get(v, 0) >= 1) or (
-                    sb.get(u, 0) >= 1 and sb.get(v, 0) >= 1
-                ):
+                sa = path.level(("alpha", tau)).offsets
+                sb = path.level(("beta", tau)).offsets
+                if (sa[gu] >= 1 and sa[gv] >= 1) or (sb[gu] >= 1 and sb[gv] >= 1):
                     affected.append(tau)
         else:
             cap = max(
@@ -748,7 +765,7 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         removal is screened with an exact support count at the endpoint's
         old offset, an insertion with a two-vertex optimistic mini-peel that
         upper-bounds the endpoints' new offsets.  Levels that pass touch
-        nothing but the endpoints' own entry lists.  Levels that fail get a
+        nothing but the endpoints' own entry slices.  Levels that fail get a
         candidate closure per half, peeled with the frozen-boundary kernels
         — exact, because non-candidates provably keep their offsets.  Only a
         closure that blows past the region budget sends its level down the
@@ -757,11 +774,12 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         frozen = None
         full_vertices: Optional[List[Vertex]] = None
         mini = None if removal else _RegionPeel(self._graph, endpoints, "dict")
+        path = self._array_path
         for tau in levels:
             if tau > self._delta:  # pragma: no cover - defensive
                 break
-            sa_old = self._alpha_offsets.get(tau, {})
-            sb_old = self._beta_offsets.get(tau, {})
+            sa_old = _OffsetView(path, ("alpha", tau))
+            sb_old = _OffsetView(path, ("beta", tau))
             halves = []
             overflow = False
             for primary, old in ((Side.UPPER, sa_old), (Side.LOWER, sb_old)):
@@ -810,7 +828,7 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     def _endpoints_hold(
         self,
         endpoints: Sequence[Vertex],
-        old: Dict[Vertex, int],
+        old: "_OffsetView",
         primary_side: Side,
         tau: int,
         removal: bool,
@@ -870,34 +888,40 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         sb_new: Dict[Vertex, int],
         endpoints: Sequence[Vertex],
     ) -> None:
-        """Splice one level's recomputed offsets into dicts and arrays.
+        """Splice one level's recomputed offsets and entry slices into its arrays.
 
         Most levels a peel touches end up unchanged, so the patch is driven
         by the vertices whose offsets actually moved: only they, their
         neighbours (whose sorted entries embed the moved offsets) and the
-        update's endpoints (whose adjacency changed) get their lists rebuilt,
-        spliced into the arrays and marked dirty in the journal.  Changed
-        vertices are always interior (the pinch verified the boundary), so
-        every rebuilt list stays inside the peeled region.
-
-        Contract: splice recomputed per-vertex entries and offsets of one level; vertices outside the patched set are untouched.
+        update's endpoints (whose adjacency changed) get their slices
+        rebuilt — in global id space, straight from the graph adjacency and
+        the patched offsets — spliced in by
+        :func:`~repro.index.csr_build.patch_level_arrays` and marked dirty
+        in the journal.  Changed vertices are always interior (the pinch
+        verified the boundary), so every rebuilt slice stays inside the
+        peeled region.
         """
-        sa = self._alpha_offsets.setdefault(tau, {})
-        sb = self._beta_offsets.setdefault(tau, {})
-        alpha_lists = self._alpha_lists.setdefault(tau, {})
-        beta_lists = self._beta_lists.setdefault(tau, {})
+        from repro.index.csr_build import patch_level_arrays
+
+        path = self._array_path
+        alpha_key, beta_key = ("alpha", tau), ("beta", tau)
+        sa = path.level(alpha_key).offsets
+        sb = path.level(beta_key).offsets
         graph = self._graph
+        global_id = path.global_id
 
         changed: List[Vertex] = []
         core_delta = 0
         for vertex in touched:
+            gid = global_id(vertex)
             new_a = sa_new[vertex]
             new_b = sb_new[vertex]
-            if sa.get(vertex, 0) != new_a or sb.get(vertex, 0) != new_b or vertex not in sa:
+            old_a = int(sa[gid])
+            if old_a != new_a or int(sb[gid]) != new_b:
                 changed.append(vertex)
-                core_delta += (new_a >= tau) - (sa.get(vertex, 0) >= tau)
-                sa[vertex] = new_a
-                sb[vertex] = new_b
+                core_delta += (new_a >= tau) - (old_a >= tau)
+                sa[gid] = new_a
+                sb[gid] = new_b
         self._core_sizes[tau] = self._core_sizes.get(tau, 0) + core_delta
 
         rebuild: Set[Vertex] = set(endpoints)
@@ -908,144 +932,51 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                 Vertex(other, nbr_label)
                 for nbr_label in graph.neighbors(vertex.side, vertex.label)
             )
-
-        for vertex in rebuild:
-            if sa.get(vertex, 0) < tau:
-                alpha_lists.pop(vertex, None)
-                beta_lists.pop(vertex, None)
-                continue
-            other = vertex.side.other
-            alpha_entries: List[Tuple[Vertex, float, int]] = []
-            beta_entries: List[Tuple[Vertex, float, int]] = []
-            for nbr_label, weight in graph.neighbors(vertex.side, vertex.label).items():
-                nbr = Vertex(other, nbr_label)
-                nbr_sa = sa.get(nbr, 0)
-                if nbr_sa >= tau:
-                    alpha_entries.append((nbr, weight, nbr_sa))
-                nbr_sb = sb.get(nbr, 0)
-                if nbr_sb > tau:
-                    beta_entries.append((nbr, weight, nbr_sb))
-            alpha_entries.sort(key=lambda entry: -entry[2])
-            beta_entries.sort(key=lambda entry: -entry[2])
-            alpha_lists[vertex] = alpha_entries
-            if beta_entries:
-                beta_lists[vertex] = beta_entries
-            else:
-                beta_lists.pop(vertex, None)
-
         if not rebuild:
             return
-        rebuild_list = list(rebuild)
-        for half in ("alpha", "beta"):
-            self._journal.mark_dirty((half, tau), rebuild_list)
-        self._patch_arrays(tau, rebuild_list, sa, sb, alpha_lists, beta_lists)
 
-    def _patch_arrays(
-        self,
-        tau: int,
-        touched: Sequence[Vertex],
-        sa: Dict[Vertex, int],
-        sb: Dict[Vertex, int],
-        alpha_lists: AdjacencyLists,
-        beta_lists: AdjacencyLists,
-    ) -> None:
-        """Splice the patched vertices into any materialised level arrays."""
-        path = self._array_path
-        if path is None:
-            return
-        from repro.index.csr_build import entries_to_patch_arrays, patch_level_arrays
-
-        for half, offsets, lists in (
-            ("alpha", sa, alpha_lists),
-            ("beta", sb, beta_lists),
-        ):
-            key = (half, tau)
-            if not path.has_level(key):
-                continue  # will be converted lazily from the patched dicts
-            updates: Dict[int, List[Tuple[int, float, int]]] = {}
-            offset_gids: List[int] = []
-            offset_values: List[int] = []
-            encodable = True
-            for vertex in touched:
-                gid = path.global_id(vertex)
-                if gid is None:  # pragma: no cover - new vertices drop the path
-                    encodable = False
-                    break
-                encoded: List[Tuple[int, float, int]] = []
-                for nbr, weight, offset in lists.get(vertex) or ():
-                    nbr_gid = path.global_id(nbr)
-                    if nbr_gid is None:  # pragma: no cover - same guard
-                        encodable = False
-                        break
-                    encoded.append((nbr_gid, weight, offset))
-                if not encodable:
-                    break
-                updates[gid] = encoded
-                offset_gids.append(gid)
-                offset_values.append(offsets.get(vertex, 0))
-            if not encodable:
-                path.drop_level(key)
-                self._arrays_dropped += 1
-                continue
-            gids, counts, ev, ew, eo = entries_to_patch_arrays(updates)
+        owners = sorted((global_id(vertex), vertex) for vertex in rebuild)
+        gids = np.array([gid for gid, _ in owners], dtype=np.int64)
+        owner_pos: List[int] = []
+        neighbours: List[int] = []
+        weights: List[float] = []
+        for pos, (gid, vertex) in enumerate(owners):
+            if sa[gid] < tau:
+                continue  # outside the (τ,τ)-core: owns no entries
+            nbrs = graph.neighbors(vertex.side, vertex.label)
+            owner_pos.extend([pos] * len(nbrs))
+            neighbours.extend(path.global_ids(vertex.side.other, nbrs))
+            weights.extend(nbrs.values())
+        owner = np.array(owner_pos, dtype=np.int64)
+        neighbour = np.array(neighbours, dtype=np.int64)
+        weight = np.array(weights, dtype=np.float64)
+        for key, offsets, strict in ((alpha_key, sa, False), (beta_key, sb, True)):
+            counts, ev, ew, eo = _sorted_slices(
+                owner, neighbour, weight, offsets, tau, strict, len(owners)
+            )
             path.set_level(
                 key,
                 patch_level_arrays(
-                    path.level(key),
-                    gids,
-                    counts,
-                    ev,
-                    ew,
-                    eo,
-                    np.array(offset_gids, dtype=np.int64),
-                    np.array(offset_values, dtype=np.int64),
+                    path.level(key), gids, counts, ev, ew, eo, gids, offsets[gids]
                 ),
             )
-            self._arrays_patched += 1
+            self._journal.mark_dirty(key, gids.tolist())
 
     def _reweight_entries(
         self, upper_label: Hashable, lower_label: Hashable, weight: float
     ) -> None:
         """Rewrite the two mirrored entry weights of one edge at every level."""
-        u = Vertex(Side.UPPER, upper_label)
-        v = Vertex(Side.LOWER, lower_label)
-        for tau in range(1, self._delta + 1):
-            for lists in (self._alpha_lists.get(tau), self._beta_lists.get(tau)):
-                if not lists:
-                    continue
-                for owner, other in ((u, v), (v, u)):
-                    entries = lists.get(owner)
-                    if not entries:
-                        continue
-                    for i, (nbr, _, offset) in enumerate(entries):
-                        if nbr == other:
-                            entries[i] = (nbr, weight, offset)
-                            break
-            for half in ("alpha", "beta"):
-                self._journal.mark_dirty((half, tau), (u, v))
         path = self._array_path
-        if path is None:
-            return
-        gid_u, gid_v = path.global_id(u), path.global_id(v)
-        if gid_u is None or gid_v is None:  # pragma: no cover - guarded upstream
-            return
+        gid_u = path.global_id(Vertex(Side.UPPER, upper_label))
+        gid_v = path.global_id(Vertex(Side.LOWER, lower_label))
         for key in path.level_keys():
             arrays = path.level(key)
-            writable = arrays.entry_weight.flags.writeable
             for owner, other in ((gid_u, gid_v), (gid_v, gid_u)):
                 lo, hi = int(arrays.indptr[owner]), int(arrays.indptr[owner + 1])
-                for pos in range(lo, hi):
-                    if int(arrays.entry_vertex[pos]) == other:
-                        if not writable:  # pragma: no cover - snapshot-backed path
-                            path.drop_level(key)
-                            self._arrays_dropped += 1
-                        else:
-                            arrays.entry_weight[pos] = weight
-                        break
-                if not writable:
-                    break
-            else:
-                self._arrays_patched += 1
+                hit = np.flatnonzero(arrays.entry_vertex[lo:hi] == other)
+                if hit.size:
+                    arrays.entry_weight[lo + int(hit[0])] = weight
+            self._journal.mark_dirty(key, (gid_u, gid_v))
 
     # ------------------------------------------------------------------ #
     # incremental degeneracy
@@ -1061,23 +992,23 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         # Growth: a new (δ+1,δ+1)-core must contain the updated edge, so both
         # endpoints must sit in the current (δ,δ)-core — an O(1) pre-screen
         # that rejects almost every update before the candidate peel runs.
+        path = self._array_path
         while True:
             next_tau = self._delta + 1
             if self._delta == 0:
                 if self._graph.num_edges == 0:
                     return
-                candidates: Optional[Set[Vertex]] = None
+                candidates: Optional[List[Vertex]] = None
             else:
-                offsets = self._alpha_offsets[self._delta]
+                offsets = _OffsetView(path, ("alpha", self._delta))
                 if len(endpoints) < 2 or any(
                     offsets.get(vertex, 0) < self._delta for vertex in endpoints
                 ):
                     return
-                candidates = {
-                    vertex
-                    for vertex, offset in offsets.items()
-                    if offset >= self._delta
-                }
+                level = path.level(("alpha", self._delta))
+                candidates = path.vertices(
+                    np.flatnonzero(level.offsets >= self._delta).tolist()
+                )
             scope = (
                 self._graph
                 if candidates is None
@@ -1090,33 +1021,25 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             self._delta = next_tau
 
     def _drop_level(self, tau: int) -> None:
-        self._alpha_lists.pop(tau, None)
-        self._beta_lists.pop(tau, None)
-        self._alpha_offsets.pop(tau, None)
-        self._beta_offsets.pop(tau, None)
+        path = self._array_path
+        path.drop_level(("alpha", tau))
+        path.drop_level(("beta", tau))
         self._core_sizes.pop(tau, None)
         self._levels_dropped += 1
-        path = self._array_path
-        if path is not None:
-            path.drop_level(("alpha", tau))
-            path.drop_level(("beta", tau))
 
     def _build_fresh_level(self, tau: int) -> None:
         """A level the maintained index did not have yet: build it in full."""
         self._build_level(tau)
-        self._core_sizes[tau] = sum(
-            1 for offset in self._alpha_offsets[tau].values() if offset >= tau
-        )
+        offsets = self._array_path.level(("alpha", tau)).offsets
+        self._core_sizes[tau] = int(np.count_nonzero(offsets >= tau))
         self._levels_built += 1
         for half in ("alpha", "beta"):
             self._journal.mark_full((half, tau))
-        # The fresh level's arrays are converted lazily from the new dicts.
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:
         stats = super().stats()
         stats.name = "Idelta-dynamic"
-        patch_attempts = self._arrays_patched + self._arrays_invalidated + self._arrays_dropped
         stats.extra.update(
             {
                 "maintenance_seconds": self._maintenance_seconds,
@@ -1132,12 +1055,10 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                     if self._regions_peeled
                     else 0.0
                 ),
-                "arrays_patched": float(self._arrays_patched),
-                "arrays_invalidated": float(self._arrays_invalidated),
-                "arrays_dropped": float(self._arrays_dropped),
-                "arrays_patch_hit_rate": (
-                    self._arrays_patched / patch_attempts if patch_attempts else 1.0
-                ),
+                # The array path is the index's only store and is never
+                # thrown away; the counter stays for the readers that
+                # track it.
+                "arrays_invalidated": 0.0,
                 "chain_length": float(self._journal.base_sequence),
                 "compactions": float(self._compactions),
                 "deltas_folded": float(self._deltas_folded),

@@ -2,9 +2,9 @@
 
 The τ = 1..δ levels of Algorithm 3 are embarrassingly parallel: each level
 is a pure function of the frozen CSR arrays, so the per-τ offset sweeps and
-entry filtering can run on worker processes while the parent keeps the only
-steps that touch interned handles (dict assembly, ``ArrayQueryPath``
-population) sequential and deterministic.
+entry filtering can run on worker processes while the parent keeps the
+``LevelArrays`` assembly and ``ArrayQueryPath`` population sequential and
+deterministic.
 
 The split is chosen so parallelism cannot change results:
 

@@ -46,6 +46,13 @@ IndexEntry = Tuple[Vertex, float, int]
 AdjacencyLists = Dict[Vertex, List[IndexEntry]]
 
 
+def _object_array(labels: List[Hashable]) -> "np.ndarray":
+    """Labels as a 1-d object array (tuple labels stay single elements)."""
+    arr = np.empty(len(labels), dtype=object)
+    arr[:] = labels
+    return arr
+
+
 def bfs_over_lists(
     lists: AdjacencyLists,
     query: Vertex,
@@ -283,16 +290,17 @@ class ArrayQueryPath:
     Holds the interned global id space of the indexed graph (upper vertices
     first), the registered per-level :class:`~repro.index.csr_build.LevelArrays`
     keyed by an index-specific level key, and one reusable visited bitmap.
-    Levels are either registered natively by the CSR construction backend
-    (:meth:`set_level`) or converted lazily from the dict adjacency lists on
-    first use (:meth:`ensure_level`), so only the levels a query stream
-    actually touches pay the conversion.
+    The degeneracy index registers every level natively (:meth:`set_level`)
+    and grows the id space in place when a never-seen vertex arrives
+    (:meth:`add_vertex`); the basic indexes convert levels lazily from their
+    dict adjacency lists on first use (:meth:`ensure_level`).
     """
 
     __slots__ = (
         "num_upper",
         "num_vertices",
-        "_global_ids",
+        "_upper_ids",
+        "_lower_ids",
         "_upper_label_arr",
         "_lower_label_arr",
         "_levels",
@@ -303,31 +311,19 @@ class ArrayQueryPath:
         self,
         upper_labels: Iterable[Hashable],
         lower_labels: Iterable[Hashable],
-        global_ids: Optional[Dict[Vertex, int]] = None,
     ) -> None:
         upper_labels = list(upper_labels)
         lower_labels = list(lower_labels)
         self.num_upper = len(upper_labels)
         self.num_vertices = self.num_upper + len(lower_labels)
-        if global_ids is None:
-            global_ids = {
-                Vertex(Side.UPPER, label): gid
-                for gid, label in enumerate(upper_labels)
-            }
-            global_ids.update(
-                (Vertex(Side.LOWER, label), self.num_upper + lid)
-                for lid, label in enumerate(lower_labels)
-            )
-        self._global_ids = global_ids
-        self._upper_label_arr = np.empty(len(upper_labels), dtype=object)
-        self._upper_label_arr[:] = upper_labels
-        self._lower_label_arr = np.empty(len(lower_labels), dtype=object)
-        self._lower_label_arr[:] = lower_labels
-        self._levels: Dict[Hashable, object] = {}
+        # Per-side label -> id maps (lower ids local to the lower layer), so a
+        # new upper vertex shifts no stored lower id.
+        self._upper_ids = {label: gid for gid, label in enumerate(upper_labels)}
+        self._lower_ids = {label: lid for lid, label in enumerate(lower_labels)}
+        self._upper_label_arr = _object_array(upper_labels)
+        self._lower_label_arr = _object_array(lower_labels)
+        self._levels: Dict[Hashable, Any] = {}
         self._visited = np.zeros(self.num_vertices, dtype=bool)
-
-    def has_level(self, key: Hashable) -> bool:
-        return key in self._levels
 
     def level(self, key: Hashable) -> "LevelArrays":
         """The registered :class:`~repro.index.csr_build.LevelArrays` of ``key``."""
@@ -335,15 +331,41 @@ class ArrayQueryPath:
 
     def has_vertex(self, vertex: Vertex) -> bool:
         """True when ``vertex`` belongs to the interned id space."""
-        return vertex in self._global_ids
+        return self.global_id(vertex) is not None
 
     def global_id(self, vertex: Vertex) -> Optional[int]:
         """The interned global id of ``vertex`` (``None`` when unknown)."""
-        return self._global_ids.get(vertex)
+        if vertex.side is Side.UPPER:
+            return self._upper_ids.get(vertex.label)
+        lid = self._lower_ids.get(vertex.label)
+        return None if lid is None else self.num_upper + lid
+
+    def global_ids(self, side: Side, labels: Iterable[Hashable]) -> List[int]:
+        """The global ids of ``labels`` on ``side`` (all must be interned)."""
+        if side is Side.UPPER:
+            return [self._upper_ids[label] for label in labels]
+        base = self.num_upper
+        lower_ids = self._lower_ids
+        return [base + lower_ids[label] for label in labels]
 
     def global_id_map(self) -> Dict[Vertex, int]:
-        """The full ``{vertex: global id}`` mapping of this path's id space."""
-        return self._global_ids
+        """The full ``{vertex: global id}`` mapping of this id space."""
+        return {handle: gid for gid, handle in enumerate(self.handles())}
+
+    def handles(self) -> List[Vertex]:
+        """Every interned vertex handle, in global id order."""
+        return self.vertices(range(self.num_vertices))
+
+    def vertices(self, gids: Iterable[int]) -> List[Vertex]:
+        """The vertex handles of the given global ids."""
+        num_upper = self.num_upper
+        upper, lower = self._upper_label_arr, self._lower_label_arr
+        return [
+            Vertex(Side.UPPER, upper[gid])
+            if gid < num_upper
+            else Vertex(Side.LOWER, lower[gid - num_upper])
+            for gid in gids
+        ]
 
     def level_keys(self) -> List[Hashable]:
         """The keys of every materialised level (patch targets)."""
@@ -354,7 +376,7 @@ class ArrayQueryPath:
         self._levels[key] = arrays
 
     def drop_level(self, key: Hashable) -> None:
-        """Forget a level (it vanished or must be rebuilt lazily)."""
+        """Forget a level (it vanished from the index)."""
         self._levels.pop(key, None)
 
     def ensure_level(
@@ -368,12 +390,82 @@ class ArrayQueryPath:
             from repro.index.csr_build import level_arrays_from_dicts
 
             self._levels[key] = level_arrays_from_dicts(
-                offsets, lists, self._global_ids, self.num_upper, self.num_vertices
+                offsets,
+                lists,
+                self.global_id_map(),
+                self.num_upper,
+                self.num_vertices,
             )
+
+    def add_vertex(self, vertex: Vertex) -> int:
+        """Intern a never-seen vertex and grow every level with it; its gid.
+
+        A lower vertex is appended as gid ``num_vertices``; an upper vertex is
+        inserted at gid ``num_upper``, which shifts every lower id by one in
+        one vectorised pass per level.  The new vertex owns no entries and
+        has offset 0 at every level until the caller patches it in.
+        """
+        from repro.index.csr_build import remap_level_arrays
+
+        old_to_new = np.arange(self.num_vertices, dtype=np.int64)
+        if vertex.side is Side.UPPER:
+            gid = self.num_upper
+            old_to_new[gid:] += 1
+            self._upper_ids[vertex.label] = gid
+            self._upper_label_arr = _object_array(
+                list(self._upper_label_arr) + [vertex.label]
+            )
+            self.num_upper += 1
+        else:
+            gid = self.num_vertices
+            self._lower_ids[vertex.label] = gid - self.num_upper
+            self._lower_label_arr = _object_array(
+                list(self._lower_label_arr) + [vertex.label]
+            )
+        self.num_vertices += 1
+        for key, level in self._levels.items():
+            self._levels[key] = remap_level_arrays(
+                level, old_to_new, self.num_upper, self.num_vertices
+            )
+        self._visited = np.zeros(self.num_vertices, dtype=bool)
+        return gid
+
+    def rekeyed(
+        self, upper_labels: Iterable[Hashable], lower_labels: Iterable[Hashable]
+    ) -> "ArrayQueryPath":
+        """This path in the id space of the given label order.
+
+        Returns ``self`` when the orders already agree; otherwise a new path
+        whose levels are remapped (:func:`~repro.index.csr_build.remap_level_arrays`).
+        Ids absent from the new label order are dropped: they must own no
+        entries (vertices a maintained index removed).
+        """
+        upper_labels = list(upper_labels)
+        lower_labels = list(lower_labels)
+        if (
+            upper_labels == self._upper_label_arr.tolist()
+            and lower_labels == self._lower_label_arr.tolist()
+        ):
+            return self
+        from repro.index.csr_build import remap_level_arrays
+
+        path = ArrayQueryPath(upper_labels, lower_labels)
+        old_to_new = np.array(
+            [
+                -1 if gid is None else gid
+                for gid in map(path.global_id, self.handles())
+            ],
+            dtype=np.int64,
+        )
+        for key, level in self._levels.items():
+            path._levels[key] = remap_level_arrays(
+                level, old_to_new, path.num_upper, path.num_vertices
+            )
+        return path
 
     def offset_of(self, key: Hashable, vertex: Vertex) -> int:
         """The vertex's offset at the keyed level (0 when unknown)."""
-        gid = self._global_ids.get(vertex)
+        gid = self.global_id(vertex)
         if gid is None:
             return 0
         return int(self._levels[key].offsets[gid])
@@ -398,7 +490,7 @@ class ArrayQueryPath:
         :class:`~repro.serving.answer_cache.AnswerCache` whose ``setdefault``
         hands back LRU-backed bucket views.
         """
-        query_id = self._global_ids[query]
+        query_id = self.global_id(query)
         bucket = None
         if cache is not None:
             bucket = cache.setdefault((key, requirement), {})
@@ -441,7 +533,7 @@ class ArrayQueryPath:
         ``setdefault`` / ``bucket.get`` / ``bucket[member] = edges`` protocol,
         so promoting the memoisation across batches needs no BFS changes.
         """
-        query_id = self._global_ids[query]
+        query_id = self.global_id(query)
         bucket = None
         if cache is not None:
             bucket = cache.setdefault(("edges", key, requirement), {})
@@ -491,7 +583,7 @@ class ArrayQueryPath:
         from repro.decomposition.csr_kernels import csr_significant_edges
 
         src, dst, weight = self.community_edges(key, query, requirement, cache=cache)
-        gid = self._global_ids[query]
+        gid = self.global_id(query)
         query_upper = query.side is Side.UPPER
         query_id = gid if query_upper else gid - self.num_upper
         kept = csr_significant_edges(

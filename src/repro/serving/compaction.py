@@ -187,6 +187,7 @@ def compact_snapshot(
             staged.base_num_upper,
             staged.base_num_vertices,
             staged.base_global_ids,
+            path_is_base=False,  # the writer's ids still carry dead vertices
         )
     return CompactionReport(
         directory=directory,

@@ -57,11 +57,7 @@ from repro.exceptions import (
 )
 from repro.graph.bipartite import Side, Vertex
 from repro.serving.answer_cache import AnswerCache
-from repro.serving.snapshot import (
-    _live_chain,
-    _read_manifest,
-    load_label_arrays,
-)
+from repro.serving.snapshot import _read_manifest, load_label_arrays
 from repro.serving.supervisor import SnapshotWatcher, SupervisedCommunityServer
 from repro.utils.validation import check_thresholds
 
@@ -72,6 +68,10 @@ __all__ = ["ServingFrontend", "FrontendClient"]
 PathLike = Union[str, Path]
 
 _SIGNIFICANT_METHODS = ("auto", "peel", "expand", "binary")
+
+
+#: Fleet reloads a watch tick tries before giving up until the next tick.
+_SYNC_ATTEMPTS = 5
 
 
 class _LabelSpace:
@@ -234,6 +234,7 @@ class ServingFrontend:
             AnswerCache(cache_entries) if cache_entries > 0 else None
         )
         self._meta: Optional[_SnapshotMeta] = None
+        self._fleet_synced = False
         self._watcher: Optional[SnapshotWatcher] = None
         self.port: Optional[int] = None
         # async plumbing, created inside the event loop
@@ -363,7 +364,7 @@ class ServingFrontend:
         self._pending_count = 0
         self._fleet.start()
         try:
-            self._refresh_snapshot_meta()
+            self._sync_fleet(reload=False)
             self._watcher = SnapshotWatcher(self._snapshot_dir)
             server = await asyncio.start_server(
                 self._handle_connection, self._host, self._requested_port
@@ -388,28 +389,59 @@ class ServingFrontend:
     # ------------------------------------------------------------------ #
     # snapshot metadata / reload
     # ------------------------------------------------------------------ #
-    def _refresh_snapshot_meta(self) -> None:
-        """Re-read labels + generation; swap them in atomically, reset cache."""
-        manifest = _read_manifest(self._snapshot_dir)
-        version = len(_live_chain(self._snapshot_dir, manifest))
-        generation = (str(manifest.get("snapshot_id", "")), version)
-        self._meta = _SnapshotMeta(
-            _LabelSpace(self._snapshot_dir),
-            generation,
-            dict(manifest.get("index", {})),
-        )
+    def _refresh_snapshot_meta(self) -> bool:
+        """Label the fleet with the generation its workers report loading.
+
+        Never with a manifest read after the reload: a later save may have
+        moved it on.  Labels are read while the manifest names the workers'
+        base (checked before and after).  False, metadata untouched, when the
+        workers disagree or the base moved on: the caller reloads again.
+        """
+        generation = self._fleet.loaded_generation()
+        if generation is None:
+            return False
+        try:
+            manifest = _read_manifest(self._snapshot_dir)
+            if str(manifest.get("snapshot_id", "")) != generation[0]:
+                return False
+            labels = _LabelSpace(self._snapshot_dir)
+            current = _read_manifest(self._snapshot_dir)
+        except (ReproError, OSError):
+            return False
+        if str(current.get("snapshot_id", "")) != generation[0]:
+            return False
+        self._meta = _SnapshotMeta(labels, generation, dict(manifest.get("index", {})))
         if self._cache is not None:
             self._cache.reset(generation)
+        return True
+
+    def _sync_fleet(self, reload: bool) -> None:
+        """(Re)load the fleet until it serves one version the metadata names."""
+        self._fleet_synced = False
+        for _ in range(_SYNC_ATTEMPTS):
+            if reload:
+                self._fleet.reload()
+            if self._refresh_snapshot_meta():
+                self._fleet_synced = True
+                return
+            reload = True
+        raise ServingError(
+            f"the worker fleet did not settle on one version of "
+            f"{self._snapshot_dir} in {_SYNC_ATTEMPTS} reloads"
+        )
 
     def _watch_tick(self) -> bool:
-        """One synchronous watch step: heal workers, reload on change."""
+        """One synchronous watch step: heal workers, reload on change.
+
+        A fleet left unsynced by a failed tick reloads on the next one even
+        when the directory did not change again.
+        """
         self._fleet.ensure_workers()
         assert self._watcher is not None
-        if not self._watcher.poll():
+        if not self._watcher.poll() and self._fleet_synced:
             return False
         with self._fleet.fleet_lock:
-            self._fleet.reload()
-            self._refresh_snapshot_meta()
+            self._sync_fleet(reload=True)
         self._reloads += 1
         assert self._meta is not None
         _logger.info(

@@ -153,6 +153,8 @@ class CommunityServer:
         self._batch_seq = 0
         self._spawned = 0
         self._labels = None
+        # pid -> (snapshot_id, version) from each worker's "ready" message
+        self._generations: Dict[int, Tuple[str, int]] = {}
         # Serialises batches against fleet swaps (reload/stop): see class
         # docstring.  Re-entrant because error paths inside a batch stop the
         # fleet while the batch still holds the lock.
@@ -223,6 +225,7 @@ class CommunityServer:
                 while ready < self._num_workers:
                     message = self._next_message(_STARTUP_TIMEOUT)
                     if message[0] == "ready":
+                        self._note_ready(message)
                         ready += 1
                     elif message[0] == "fatal":
                         raise _rebuild_error(message[2])
@@ -261,6 +264,22 @@ class CommunityServer:
             writer.close()
         return tasks, reader, process
 
+    def _note_ready(self, message: Tuple[object, ...]) -> None:
+        """Record the ``(snapshot_id, version)`` a worker reported loading."""
+        self._generations[message[1]] = tuple(message[2])
+
+    def loaded_generation(self) -> Optional[Tuple[str, int]]:
+        """The ``(snapshot_id, version)`` every live worker reported loading.
+
+        ``None`` when the workers loaded different versions (a writer
+        published between their loads) or one has not reported yet.
+        """
+        with self._fleet_lock:
+            seen = {self._generations.get(pid) for pid in self.worker_pids()}
+        if len(seen) != 1 or None in seen:
+            return None
+        return seen.pop()
+
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty when stopped)."""
         return [p.pid for p in self._processes if p.pid is not None]
@@ -278,6 +297,7 @@ class CommunityServer:
             self._cleanup_snapshot = False
 
     def _stop_locked(self) -> None:
+        self._generations = {}
         if self._processes:
             for tasks in self._task_queues:
                 try:
@@ -507,7 +527,8 @@ class CommunityServer:
                 while pending:
                     message = self._next_message(self._batch_timeout)
                     tag = message[0]
-                    if tag in ("ready",):  # respawn or late duplicate; harmless
+                    if tag == "ready":  # a respawned worker came up
+                        self._note_ready(message)
                         continue
                     if tag == "fatal":
                         raise _rebuild_error(message[2])

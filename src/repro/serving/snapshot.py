@@ -94,6 +94,10 @@ DATA_NAME = "arrays.bin"
 LABELS_JSON_NAME = "labels.json"
 LABELS_PICKLE_NAME = "labels.pkl"
 
+#: Reads :func:`load_snapshot` makes before giving up on a directory whose
+#: base keeps being replaced under it.
+_LOAD_ATTEMPTS = 5
+
 #: Delta segment file names: ``delta-00001.json`` + ``delta-00001.bin``.
 DELTA_GLOB = "delta-*.json"
 
@@ -274,6 +278,44 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
     return directory
 
 
+def _dirty_slices(
+    level: "LevelArrays",
+    gids: "np.ndarray",
+    to_base: "Optional[np.ndarray]",
+    directory: Path,
+) -> "Tuple[np.ndarray, ...]":
+    """The entry slices and offsets of ``gids`` in a delta's patch form.
+
+    Returns ``(base gids ascending, counts, entry vertex, entry weight,
+    entry offset, offset values)``.  ``to_base`` maps the index's ids to the
+    base's (``None``: they are the same).
+    """
+    base_gids = gids if to_base is None else to_base[gids]
+    if base_gids.size and int(base_gids.min()) < 0:  # pragma: no cover - see compatible
+        raise IndexConsistencyError(
+            f"a patched vertex has no id in the base snapshot at {directory}; "
+            "write a fresh snapshot instead"
+        )
+    order = np.argsort(base_gids, kind="stable")
+    gids, base_gids = gids[order], base_gids[order]
+    starts = level.indptr[gids]
+    counts = level.indptr[gids + 1] - starts
+    positions = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
+        int(counts.sum())
+    )
+    entry_vertex = level.entry_vertex[positions]
+    if to_base is not None:
+        entry_vertex = to_base[entry_vertex]
+    return (
+        base_gids,
+        counts,
+        entry_vertex,
+        level.entry_weight[positions],
+        level.entry_offset[positions],
+        level.offsets[gids],
+    )
+
+
 def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) -> Path:
     """Append one delta segment for a maintained index's pending changes.
 
@@ -295,11 +337,10 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
             f"snapshot at {directory} is not the base this index was saved "
             "against; write a fresh snapshot instead"
         )
-    from repro.index.csr_build import entries_to_patch_arrays, level_arrays_from_dicts
+    from repro.index.csr_build import remap_level_arrays
     from repro.index.serialization import SNAPSHOT_VERSION, _MAGIC, index_metadata
 
     sequence = journal.base_sequence + 1
-    global_ids = journal.base_global_ids
     delta_value = int(index.delta)
     full_keys = []
     patch_keys = []
@@ -311,51 +352,32 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
             elif journal.dirty.get(key):
                 patch_keys.append(key)
 
-    def stores(half: str) -> Tuple[Dict[int, Dict], Dict[int, Dict]]:
-        if half == "alpha":
-            return index._alpha_offsets, index._alpha_lists
-        return index._beta_offsets, index._beta_lists
+    path = index.query_path()
+    # Path gid -> base gid; None while the index's id space is the base's.
+    to_base = None
+    if not journal.path_is_base:
+        base_ids = journal.base_global_ids
+        to_base = np.array(
+            [base_ids.get(handle, -1) for handle in path.handles()], dtype=np.int64
+        )
 
     def payloads() -> Iterator[Tuple[str, object]]:
-        for half, tau in full_keys:
-            offsets, lists = stores(half)
-            arrays = level_arrays_from_dicts(
-                offsets.get(tau, {}),
-                lists.get(tau, {}),
-                global_ids,
-                journal.base_num_upper,
-                journal.base_num_vertices,
-            )
+        for key in full_keys:
+            level = path.level(key)
+            if to_base is not None:
+                level = remap_level_arrays(
+                    level, to_base, journal.base_num_upper, journal.base_num_vertices
+                )
             for field in _LEVEL_FIELDS:
-                yield f"level/{half}/{tau}/{field}", getattr(arrays, field)
-        for half, tau in patch_keys:
-            offsets, lists = stores(half)
-            level_offsets = offsets.get(tau, {})
-            level_lists = lists.get(tau, {})
-            updates = {}
-            offset_values = {}
-            for vertex in journal.dirty[(half, tau)]:
-                gid = global_ids.get(vertex)
-                if gid is None:  # pragma: no cover - guarded by journal.compatible
-                    raise IndexConsistencyError(
-                        f"vertex {vertex!r} has no id in the base snapshot at "
-                        f"{directory}; write a fresh snapshot instead"
-                    )
-                updates[gid] = [
-                    (global_ids[nbr], weight, offset)
-                    for nbr, weight, offset in level_lists.get(vertex) or ()
-                ]
-                offset_values[gid] = level_offsets.get(vertex, 0)
-            gids, counts, ev, ew, eo = entries_to_patch_arrays(updates)
-            prefix = f"patch/{half}/{tau}"
-            yield f"{prefix}/gids", gids
-            yield f"{prefix}/counts", counts
-            yield f"{prefix}/entry_vertex", ev
-            yield f"{prefix}/entry_weight", ew
-            yield f"{prefix}/entry_offset", eo
-            yield f"{prefix}/offset_values", np.array(
-                [offset_values[g] for g in gids.tolist()], dtype=np.int64
-            )
+                yield f"level/{key[0]}/{key[1]}/{field}", getattr(level, field)
+        for key in patch_keys:
+            gids = np.array(sorted(journal.dirty[key]), dtype=np.int64)
+            prefix = f"patch/{key[0]}/{key[1]}"
+            for name, array in zip(
+                ("gids", "counts", "entry_vertex", "entry_weight", "entry_offset", "offset_values"),
+                _dirty_slices(path.level(key), gids, to_base, directory),
+            ):
+                yield f"{prefix}/{name}", array
         yield "ops", ("pickle", list(journal.ops))
         yield "removed", ("pickle", sorted(journal.removed, key=repr))
 
@@ -596,9 +618,45 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
     :class:`IndexConsistencyError` for a missing or corrupted manifest,
     truncated data file, absent segments, or a broken delta chain — always
     naming the path.
+
+    A compaction or full rewrite may swap the base while the chain is read;
+    the manifest is read again afterwards and the load retried when the
+    base's ``snapshot_id`` or data file changed, so a reader never returns a
+    replaced base with a partly deleted chain (an older version).
     """
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    for _ in range(_LOAD_ATTEMPTS):
+        manifest = _read_manifest(directory)
+        try:
+            index = _load_generation(directory, manifest)
+        except IndexConsistencyError:
+            if _base_moved(directory, manifest):
+                continue  # a compaction or rewrite swapped the base mid-read
+            raise
+        if not _base_moved(directory, manifest):
+            return index
+        # The chain was listed against a base that has since been replaced:
+        # a compaction deleting its folded deltas tail-first can leave a
+        # shorter — valid but older — chain visible.  Read again.
+    raise IndexConsistencyError(
+        f"snapshot at {directory} kept changing while it was read "
+        f"({_LOAD_ATTEMPTS} attempts)"
+    )
+
+
+def _base_moved(directory: Path, manifest: Dict) -> bool:
+    """True when ``directory``'s manifest no longer names ``manifest``'s base."""
+    try:
+        current = _read_manifest(directory)
+    except IndexConsistencyError:
+        return True
+    return current.get("snapshot_id") != manifest.get("snapshot_id") or current.get(
+        "data", {}
+    ).get("file") != manifest.get("data", {}).get("file")
+
+
+def _load_generation(directory: Path, manifest: Dict) -> "SnapshotIndex":
+    """One read of ``manifest``'s base plus its live delta chain."""
     labels = _read_labels(directory, manifest)
     segment = _segment_reader(directory, manifest, DATA_NAME)
     graph_arrays = tuple(segment(f"graph/{field}") for field in _GRAPH_FIELDS)
@@ -784,7 +842,6 @@ class SnapshotIndex(CommunityIndex):
         self._delta = int(manifest.get("index", {}).get("delta", 0))
         self._array_path = None
         self._csr = None
-        self._global_handles: Optional[List[Vertex]] = None
         self._answer_cache = None
 
     # ------------------------------------------------------------------ #
@@ -806,11 +863,6 @@ class SnapshotIndex(CommunityIndex):
         return str(self._manifest.get("backend", "csr"))
 
     @property
-    def native_array_levels(self) -> bool:
-        """Always True: snapshot levels live as mapped arrays by definition."""
-        return True
-
-    @property
     def snapshot_id(self) -> str:
         """The base snapshot's identity (delta segments must match it)."""
         return str(self._manifest.get("snapshot_id", ""))
@@ -819,24 +871,6 @@ class SnapshotIndex(CommunityIndex):
     def version(self) -> int:
         """How many delta segments were replayed on top of the base."""
         return self._version
-
-    @property
-    def num_upper(self) -> int:
-        """Upper-layer size of the base id space (dead ids included)."""
-        return len(self._upper_labels)
-
-    def global_handles(self) -> List[Vertex]:
-        """Vertex handles of the base id space in global id order (cached).
-
-        After delta replay some handles may refer to vertices the updates
-        removed; their level offsets are zero and their entry slices empty,
-        so they are unreachable from every query.
-        """
-        if self._global_handles is None:
-            self._global_handles = [
-                Vertex(Side.UPPER, label) for label in self._upper_labels
-            ] + [Vertex(Side.LOWER, label) for label in self._lower_labels]
-        return self._global_handles
 
     def level_arrays(self) -> Dict[Tuple[str, int], object]:
         """The per-level flat arrays, keyed ``(half, τ)`` (deltas applied)."""
@@ -1077,8 +1111,9 @@ class SnapshotIndex(CommunityIndex):
             return []
         key, requirement = self._route(alpha, beta)
         offsets = self._levels[key].offsets
-        handles = self.global_handles()
-        return [handles[gid] for gid in np.flatnonzero(offsets >= requirement).tolist()]
+        return self.query_path().vertices(
+            np.flatnonzero(offsets >= requirement).tolist()
+        )
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:

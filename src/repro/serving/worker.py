@@ -48,7 +48,9 @@ def worker_main(
 
     Protocol (all messages tuples, first element a tag):
 
-    * startup: ``("ready", pid)`` once the snapshot is open, or
+    * startup: ``("ready", pid, (snapshot_id, version))`` once the snapshot
+      is open — the generation it loaded, which the serving process labels
+      answers with — or
       ``("fatal", pid, error_description)`` if it cannot be opened.
     * per shard: input ``(batch_id, shard_id, kind, triples, options)`` where
       ``kind`` is ``"community"`` or ``"significant"``; output
@@ -80,7 +82,7 @@ def worker_main(
         results.send(("fatal", pid, describe_error(exc)))
         return
     try:
-        results.send(("ready", pid))
+        results.send(("ready", pid, (index.snapshot_id, index.version)))
         # One component cache per batch (unless a cross-batch AnswerCache is
         # configured): the server runs batches serially, so a new batch_id
         # means the previous batch's shards are all done and its memoised

@@ -70,3 +70,18 @@ def graph_edge_weights(graph: BipartiteGraph) -> Set[Tuple[object, object, float
 def assert_same_graph(actual: BipartiteGraph, expected: BipartiteGraph) -> None:
     """Assert two graphs have identical edge sets (with weights)."""
     assert graph_edge_weights(actual) == graph_edge_weights(expected)
+
+
+LEVEL_FIELDS = ("indptr", "entry_vertex", "entry_weight", "entry_offset", "offsets")
+
+
+def assert_same_level_arrays(actual, expected) -> None:
+    """Element-wise equality of two ``export_level_arrays()`` results."""
+    import numpy as np
+
+    assert actual.keys() == expected.keys()
+    for key, level in actual.items():
+        other = expected[key]
+        assert level.num_upper == other.num_upper, key
+        for name in LEVEL_FIELDS:
+            assert np.array_equal(getattr(level, name), getattr(other, name)), (key, name)

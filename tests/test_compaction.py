@@ -121,6 +121,32 @@ class TestCompaction:
         assert_same_answers(load_snapshot(target), dynamic, queries)
 
 
+class TestConcurrentLoad:
+    def test_load_retries_when_a_compaction_lands_mid_read(self, tmp_path, monkeypatch):
+        # The compaction swaps the base between the reader's manifest read
+        # and its listing of the chain, then deletes the folded segments: the
+        # listing alone would see the old base with no deltas (a valid but
+        # older version).  The reader must notice and read the new base.
+        import repro.serving.snapshot as snapshot_module
+
+        target, dynamic = saved_chain(tmp_path)
+        real_live_chain = snapshot_module._live_chain
+        fired = []
+
+        def racing_live_chain(directory, manifest):
+            if not fired:
+                fired.append(True)
+                compact_snapshot(target)
+            return real_live_chain(directory, manifest)
+
+        monkeypatch.setattr(snapshot_module, "_live_chain", racing_live_chain)
+        loaded = load_snapshot(target)
+        assert fired
+        manifest = json.loads((target / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert loaded.snapshot_id == manifest["snapshot_id"]
+        assert_same_answers(loaded, dynamic, all_queries(dynamic.graph, dynamic.delta))
+
+
 class TestWriterRebind:
     def test_journal_rebinds_and_appends_continue(self, tmp_path):
         target, dynamic = saved_chain(tmp_path)

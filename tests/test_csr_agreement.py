@@ -33,7 +33,7 @@ from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.index.basic_index import BasicIndex
 from repro.index.degeneracy_index import DegeneracyIndex
 
-from tests.reference import graph_edge_weights
+from tests.reference import assert_same_level_arrays, graph_edge_weights
 
 SEEDS = list(range(50))
 
@@ -112,10 +112,9 @@ def test_degeneracy_index_structures_are_identical(seed):
     csr_index = DegeneracyIndex(graph, backend="csr")
     assert dict_index.backend == "dict" and csr_index.backend == "csr"
     assert dict_index.delta == csr_index.delta
-    assert dict_index._alpha_offsets == csr_index._alpha_offsets
-    assert dict_index._beta_offsets == csr_index._beta_offsets
-    assert dict_index._alpha_lists == csr_index._alpha_lists
-    assert dict_index._beta_lists == csr_index._beta_lists
+    assert_same_level_arrays(
+        dict_index.export_level_arrays(), csr_index.export_level_arrays()
+    )
     dict_stats, csr_stats = dict_index.stats(), csr_index.stats()
     assert dict_stats.entries == csr_stats.entries
     assert dict_stats.adjacency_lists == csr_stats.adjacency_lists

@@ -72,6 +72,12 @@ def _offset_table(offsets: Dict[Vertex, int]) -> Dict[str, int]:
     }
 
 
+def _level_offsets(index: DegeneracyIndex, half: str, tau: int) -> Dict[Vertex, int]:
+    """One level's per-vertex offsets, read from the exported level arrays."""
+    offsets = index.export_level_arrays()[(half, tau)].offsets
+    return dict(zip(index.query_path().handles(), offsets.tolist()))
+
+
 def compute_snapshot(backend: str) -> Dict[str, object]:
     graph = paper_example_graph()
     index = DegeneracyIndex(graph, backend=backend)
@@ -83,11 +89,11 @@ def compute_snapshot(backend: str) -> Dict[str, object]:
         },
         "delta": index.delta,
         "alpha_offsets": {
-            str(tau): _offset_table(index._alpha_offsets[tau])
+            str(tau): _offset_table(_level_offsets(index, "alpha", tau))
             for tau in range(1, index.delta + 1)
         },
         "beta_offsets": {
-            str(tau): _offset_table(index._beta_offsets[tau])
+            str(tau): _offset_table(_level_offsets(index, "beta", tau))
             for tau in range(1, index.delta + 1)
         },
         "communities": {},

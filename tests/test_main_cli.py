@@ -220,7 +220,7 @@ class TestUpdateAndStats:
         assert main(["stats", "--index", str(snapshot_dir)]) == 0
         out = capsys.readouterr().out
         assert "levels_patched" in out
-        assert "arrays_patch_hit_rate" in out
+        assert "arrays_invalidated" in out
         assert "snapshot_version" in out
 
     def test_update_pickle_round_trip(self, capsys, tmp_path, edge_file):

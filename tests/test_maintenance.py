@@ -146,8 +146,8 @@ class TestStaleEntryPurging:
 
     def test_discarded_preexisting_isolated_vertex_is_purged(self):
         # A vertex isolated since construction is dropped by the first
-        # removal's discard_isolated(); its (zero-offset) entries must not
-        # linger in the index stores afterwards.
+        # removal's discard_isolated(); its id must own nothing afterwards:
+        # offset 0 and an empty slice at every level.
         graph = BipartiteGraph.from_edges(
             [("u0", "v0", 1), ("u0", "v1", 1), ("u1", "v0", 1), ("u1", "v1", 1)]
         )
@@ -155,15 +155,16 @@ class TestStaleEntryPurging:
         dynamic = DynamicDegeneracyIndex(graph)
         dynamic.remove_edge("u0", "v0")
         assert not dynamic.graph.has_vertex(Side.UPPER, "iso")
-        for stores in (
-            dynamic._alpha_offsets,
-            dynamic._beta_offsets,
-            dynamic._alpha_lists,
-            dynamic._beta_lists,
-        ):
-            for level in stores.values():
-                for vertex in level:
-                    assert dynamic.graph.has_vertex(vertex.side, vertex.label)
+        path = dynamic.query_path()
+        gid = path.global_id(upper("iso"))
+        for key in path.level_keys():
+            level = path.level(key)
+            assert level.offsets[gid] == 0, key
+            assert level.indptr[gid] == level.indptr[gid + 1], key
+        # The export re-keys to the graph's vertices: the purged id is gone.
+        dynamic.export_level_arrays()
+        assert not dynamic.query_path().has_vertex(upper("iso"))
+        assert_index_equivalent(dynamic, dynamic.graph.copy())
 
     def test_remove_pendant_edge_purges_vanished_endpoint(self, tiny_graph):
         dynamic = DynamicDegeneracyIndex(tiny_graph)

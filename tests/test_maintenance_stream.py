@@ -7,8 +7,9 @@ and removals that discard endpoints — are applied to a
 be element-wise identical to a from-scratch :class:`DegeneracyIndex` of the
 same graph.  Because the batch APIs route through the patched
 :class:`LevelArrays`, this exercises the whole maintenance engine: the
-S⁺/S⁻ candidate closures, the frozen-boundary region peels, the in-place
-array patching, and the incremental degeneracy adjustment.
+S⁺/S⁻ candidate closures, the frozen-boundary region peels, the array
+patching, the in-place id-space growth, and the incremental degeneracy
+adjustment.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.api import CommunitySearcher
 from repro.graph.bipartite import BipartiteGraph
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
+
+from tests.reference import assert_same_level_arrays
 
 BACKENDS = ["dict", "csr"]
 
@@ -105,6 +108,43 @@ def test_tiny_region_budget_still_agrees(backend):
         _assert_batches_match(dynamic, fresh, working)
 
 
+def test_large_regions_peel_on_the_csr_kernel(monkeypatch):
+    # Candidate regions of 32+ vertices on a CSR-built index run the frozen
+    # region sub-CSR kernel; the levels must still equal a fresh rebuild's.
+    import repro.index.maintenance as maintenance
+    from repro.graph.generators import power_law_bipartite
+
+    frozen = []
+    real_freeze = maintenance._RegionPeel._freeze_region
+
+    def counting_freeze(self, *args):
+        frozen.append(True)
+        return real_freeze(self, *args)
+
+    monkeypatch.setattr(maintenance._RegionPeel, "_freeze_region", counting_freeze)
+    graph = power_law_bipartite(num_upper=300, num_lower=250, num_edges=2500, seed=5)
+    dynamic = DynamicDegeneracyIndex(graph, backend="csr")
+    working = graph.copy()
+    rng = random.Random(8)
+    uppers, lowers = sorted(graph.upper_labels()), sorted(graph.lower_labels())
+    for step in range(8):
+        if step % 2 == 0:
+            u, v, weight = rng.choice(uppers), rng.choice(lowers), float(rng.randint(1, 9))
+            dynamic.insert_edge(u, v, weight)
+            working.add_edge(u, v, weight)
+        else:
+            u, v, _ = rng.choice(sorted(working.edges(), key=repr))
+            dynamic.remove_edge(u, v)
+            working.remove_edge(u, v)
+            working.discard_isolated()
+        fresh = DegeneracyIndex(working, backend="csr")
+        assert dynamic.delta == fresh.delta
+        assert_same_level_arrays(
+            dynamic.export_level_arrays(), fresh.export_level_arrays()
+        )
+    assert frozen, "no region reached the CSR kernel"
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 def test_batch_significant_communities_match_rebuild(seed):
     rng = random.Random(seed)
@@ -137,26 +177,38 @@ def test_batch_significant_communities_match_rebuild(seed):
                 assert result.graph.same_structure(expected.graph), (query, alpha, beta)
 
 
-def test_maintenance_keeps_the_array_path_hot():
-    # A stream over a fixed vertex universe must patch the materialised
-    # LevelArrays in place rather than invalidating the query path.
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_new_labels_grow_the_array_path_in_place(backend):
+    # Never-seen upper and lower labels grow the id space of the one level
+    # store in place: the path object survives, nothing is invalidated, and
+    # batch answers equal a fresh rebuild after every insert.
     rng = random.Random(6)
     graph = BipartiteGraph.from_edges(
         [(f"u{rng.randrange(8)}", f"v{rng.randrange(8)}", float(rng.randint(1, 9))) for _ in range(40)]
     )
-    dynamic = DynamicDegeneracyIndex(graph, backend="csr")
-    # Materialise the arrays once, then churn edges among existing vertices
-    # without ever isolating one (insert-only churn on a dense block).
-    core = dynamic.vertices_in_core(1, 1)
-    dynamic.batch_community([(core[0], 1, 1)])
+    dynamic = DynamicDegeneracyIndex(graph, backend=backend)
+    working = graph.copy()
     path_before = dynamic.query_path()
-    for _ in range(12):
-        u, v = f"u{rng.randrange(8)}", f"v{rng.randrange(8)}"
-        dynamic.insert_edge(u, v, float(rng.randint(1, 9)))
-    assert dynamic.query_path() is path_before, "array path was invalidated"
-    stats = dynamic.stats()
-    assert stats.extra["arrays_patched"] > 0
-    assert stats.extra["arrays_patch_hit_rate"] == 1.0
+    num_upper, num_vertices = path_before.num_upper, path_before.num_vertices
+    inserts = [
+        ("new-u0", "v1"),  # new upper label
+        ("u2", "new-v0"),  # new lower label
+        ("new-u1", "new-v1"),  # both new at once
+        ("new-u0", "new-v1"),
+        ("new-u1", "v3"),
+        ("u5", "new-v0"),
+    ]
+    for u, v in inserts:
+        weight = float(rng.randint(1, 9))
+        dynamic.insert_edge(u, v, weight)
+        working.add_edge(u, v, weight)
+        assert dynamic.query_path() is path_before, "array path was replaced"
+        fresh = DegeneracyIndex(working, backend="dict")
+        assert dynamic.delta == fresh.delta
+        _assert_batches_match(dynamic, fresh, working)
+    assert path_before.num_upper == num_upper + 2
+    assert path_before.num_vertices == num_vertices + 4
+    assert dynamic.stats().extra["arrays_invalidated"] == 0
 
 
 def test_maintenance_observability_counters():
@@ -181,14 +233,11 @@ def test_maintenance_observability_counters():
         "region_updates",
         "reweight_updates",
         "region_mean_vertices",
-        "arrays_patched",
         "arrays_invalidated",
-        "arrays_dropped",
-        "arrays_patch_hit_rate",
         "updates_applied",
         "maintenance_seconds",
     ):
         assert key in extra, key
     assert extra["updates_applied"] == 12.0
     assert extra["levels_patched"] + extra["levels_rebuilt"] > 0
-    assert 0.0 <= extra["arrays_patch_hit_rate"] <= 1.0
+    assert extra["arrays_invalidated"] == 0

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.exceptions import IndexConsistencyError, InvalidParameterError
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, Side
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
 from repro.index.serialization import load_index, save_index
@@ -25,6 +25,8 @@ from repro.serving.snapshot import (
     load_snapshot,
     snapshot_version,
 )
+
+from tests.reference import assert_same_level_arrays
 
 def churn_graph(seed: int, labels: int = 11, edges: int = 55) -> BipartiteGraph:
     rng = random.Random(seed)
@@ -164,6 +166,58 @@ class TestDeltaRoundTrip:
         save_index(dynamic, target, format="snapshot")
         save_index(dynamic, target, format="snapshot")
         assert snapshot_version(target) == 0
+
+
+class TestFullSaveLevels:
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_full_save_after_removals_and_new_labels_writes_fresh_levels(
+        self, tmp_path, backend
+    ):
+        # Removals leave dead ids behind, a removed-then-re-added vertex keeps
+        # its old id, and new labels grow the id space; the full save must
+        # still write exactly the levels a fresh index of the graph has.
+        dynamic = DynamicDegeneracyIndex(churn_graph(21), backend=backend)
+        victim = sorted(dynamic.graph.upper_labels())[0]
+        victim_edges = list(dynamic.graph.neighbors(Side.UPPER, victim).items())
+        for lower_label, _ in victim_edges:
+            dynamic.remove_edge(victim, lower_label)
+        apply_churn(dynamic, random.Random(22), 8)
+        dynamic.insert_edge("new-u", "v1", 4.0)
+        dynamic.insert_edge("u2", "new-v", 2.0)
+        lower_label, weight = victim_edges[0]
+        dynamic.insert_edge(victim, lower_label, weight)
+        target = tmp_path / "snap"
+        save_index(dynamic, target, format="snapshot")
+        fresh = DegeneracyIndex(dynamic.graph, backend=backend)
+        saved = load_snapshot(target)
+        assert saved.delta == fresh.delta
+        assert_same_level_arrays(saved.level_arrays(), fresh.export_level_arrays())
+        # The index adopted the saved id space: later deltas replay onto it.
+        apply_churn(dynamic, random.Random(23), 6)
+        save_index(dynamic, target, format="snapshot")
+        assert snapshot_version(target) == 1
+        assert_same_answers(
+            load_snapshot(target), dynamic, all_queries(dynamic.graph, dynamic.delta)
+        )
+
+
+    def test_export_between_saves_forces_a_full_rewrite(self, tmp_path):
+        # A manual export re-keys the id space (dropping the removed vertex's
+        # id), so pending dirty ids no longer name base ids: the next save
+        # must rewrite the base instead of appending a delta.
+        dynamic = DynamicDegeneracyIndex(churn_graph(24), backend="dict")
+        target = tmp_path / "snap"
+        save_index(dynamic, target, format="snapshot")
+        victim = sorted(dynamic.graph.upper_labels())[0]
+        for lower_label in list(dynamic.graph.neighbors(Side.UPPER, victim)):
+            dynamic.remove_edge(victim, lower_label)
+        apply_churn(dynamic, random.Random(25), 4)
+        dynamic.export_level_arrays()
+        save_index(dynamic, target, format="snapshot")
+        assert snapshot_version(target) == 0
+        assert_same_answers(
+            load_snapshot(target), dynamic, all_queries(dynamic.graph, dynamic.delta)
+        )
 
 
 class TestFromSnapshot:

@@ -410,6 +410,72 @@ class TestReloadUnderTraffic:
         assert post_seen > 0, "no reply ever reflected the new snapshot version"
 
 
+class TestGenerationFence:
+    """The front end names the version its workers loaded, not a later one."""
+
+    def _frontend(self, snapshot_dir):
+        from repro.serving.frontend import ServingFrontend
+
+        return ServingFrontend(
+            snapshot_dir, num_workers=2, cache_entries=16, watch_interval=0
+        )
+
+    def test_generation_comes_from_the_workers(self, snapshot_dir, monkeypatch):
+        from repro.serving.snapshot import load_snapshot, snapshot_version
+        from repro.serving.supervisor import SnapshotWatcher
+
+        frontend = self._frontend(snapshot_dir)
+        fleet = frontend.fleet
+        try:
+            fleet.start()
+            frontend._sync_fleet(reload=False)
+            frontend._watcher = SnapshotWatcher(snapshot_dir)
+            _append_delta(snapshot_dir)  # version 1: the tick reloads onto it
+            real_reload = fleet.reload
+
+            def reload_then_publish():
+                real_reload()
+                monkeypatch.setattr(fleet, "reload", real_reload)
+                _append_delta(snapshot_dir)  # version 2 lands after the load
+
+            monkeypatch.setattr(fleet, "reload", reload_then_publish)
+            assert frontend._watch_tick()
+            snapshot_id = load_snapshot(snapshot_dir).snapshot_id
+            assert snapshot_version(snapshot_dir) == 2
+            assert fleet.loaded_generation() == (snapshot_id, 1)
+            assert frontend._meta.generation == (snapshot_id, 1)
+            # The next tick sees version 2 and moves the whole fleet onto it.
+            assert frontend._watch_tick()
+            assert frontend._meta.generation == (snapshot_id, 2)
+        finally:
+            fleet.stop()
+
+    def test_a_split_fleet_reloads_again(self, snapshot_dir, monkeypatch):
+        frontend = self._frontend(snapshot_dir)
+        fleet = frontend.fleet
+        real_generation = fleet.loaded_generation
+        real_reload = fleet.reload
+        answers = [None]  # the first report: workers on different versions
+        reloads = []
+
+        def generation():
+            return answers.pop() if answers else real_generation()
+
+        def counted_reload():
+            reloads.append(True)
+            return real_reload()
+
+        monkeypatch.setattr(fleet, "loaded_generation", generation)
+        monkeypatch.setattr(fleet, "reload", counted_reload)
+        try:
+            fleet.start()
+            frontend._sync_fleet(reload=False)
+            assert len(reloads) == 1
+            assert frontend._meta.generation == real_generation()
+        finally:
+            fleet.stop()
+
+
 class TestSnapshotWatcher:
     def test_no_change_no_trigger(self, snapshot_dir):
         from repro.serving.supervisor import SnapshotWatcher
